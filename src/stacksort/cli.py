@@ -29,6 +29,7 @@ from .dyck import (
 )
 from .machine import (
     StackTrace,
+    machine_patterns,
     pattern_name,
     pattern_stack_pass,
     west_pass,
@@ -38,7 +39,6 @@ from .perms import (
     STAR_132,
     BivincularPattern,
     MalformedToken,
-    PatternSet,
     Permutation,
     format_permutation,
     parse_permutation,
@@ -125,8 +125,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     x = _parse_perm(args.perm)
     sigma = _parse_pattern(args.sigma)
     tau = _parse_pattern(args.tau)
-    patterns = PatternSet.of(sigma, tau)
-    mid, first = pattern_stack_pass(x, patterns, want_trace=True)
+    mid, first = pattern_stack_pass(x, machine_patterns(sigma, tau), want_trace=True)
     out, second = west_pass(mid, want_trace=True)
     sorted_ok = out.is_identity
     if args.format == "json":

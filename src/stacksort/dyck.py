@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .perms import Permutation, contains_classical, ltr_minima
-
-PATTERN_123 = Permutation((1, 2, 3))
+from .perms import PATTERN_123, Permutation, contains_classical, ltr_minima
 
 #: Factor whose absence marks the avoiders of the adjacent-middle 132 pattern.
 FACTOR_DUDU = "dudu"

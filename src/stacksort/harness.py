@@ -48,6 +48,12 @@ from .machine import (
 from .perms import (
     DEFAULT_GENERATION_CAP,
     LengthTooLarge,
+    PATTERN_123,
+    PATTERN_132,
+    PATTERN_213,
+    PATTERN_231,
+    PATTERN_312,
+    PATTERN_321,
     PatternSet,
     Permutation,
     STAR_123,
@@ -63,19 +69,12 @@ from .perms import (
 )
 from .sequences import SequenceTable, g_sequence, sort_123_321_closed
 from .signatures import (
-    PATTERN_123,
-    PATTERN_132,
     active_sites,
     format_signature,
     has_plateau,
     signature,
     west_map,
 )
-
-PATTERN_213 = Permutation((2, 1, 3))
-PATTERN_231 = Permutation((2, 3, 1))
-PATTERN_312 = Permutation((3, 1, 2))
-PATTERN_321 = Permutation((3, 2, 1))
 
 PASS = "pass"
 FAIL = "fail"
@@ -108,6 +107,10 @@ OEIS_PREFIXES: Mapping[str, SequenceTable] = {
 
 class CorruptCacheEntry(UserWarning):
     """A cache file exists but cannot be trusted; it is treated as a miss."""
+
+
+class CacheStoreFailed(UserWarning):
+    """A result could not be written to the cache; it is returned all the same."""
 
 
 # ---- enumeration --------------------------------------------------------
@@ -800,26 +803,18 @@ def conjecture_tables(
 def verify_conjecture(n_max: int = 8, workers: int = 1) -> SuiteReport:
     """conjecture_tables over every length up to n_max, merged into one report."""
     _require_n_max(n_max, 11, "conjecture")
-    totals: list[str] = []
-    firsts: list[str] = []
-    max_positions: list[str] = []
-    partition: list[str] = []
-    buckets = {
-        "totals-agree": totals,
-        "first-entry-distributions-agree": firsts,
-        "max-position-distributions-agree": max_positions,
-        "statistics-partition-the-totals": partition,
-    }
-    for n in range(1, n_max + 1):
+    merged: dict[str, list[str]] = {}
+    # n=0 yields no counterexamples; it supplies the claim ids when n_max is 0
+    for n in range(n_max + 1):
         _, _, report = conjecture_tables(n, workers=workers)
         for claim in report.claims:
-            buckets[claim.claim_id].extend(claim.counterexamples)
+            merged.setdefault(claim.claim_id, []).extend(claim.counterexamples)
     return SuiteReport(
         "conjecture",
         n_max,
         tuple(
-            _claim(claim_id, 1, n_max, bucket)
-            for claim_id, bucket in buckets.items()
+            _claim(claim_id, 1, n_max, counterexamples)
+            for claim_id, counterexamples in merged.items()
         ),
     )
 
@@ -908,8 +903,9 @@ def cache_load(
     """Reload a stored result; anything untrustworthy is a miss.
 
     A missing file or a version from another engine generation is an
-    ordinary miss.  A file that exists but fails parsing or its checksum
-    warns with CorruptCacheEntry and is then treated as a miss too.
+    ordinary miss.  A file that exists but fails parsing or its checksum, or
+    holds the result for another machine or length, warns with
+    CorruptCacheEntry and is then treated as a miss too.
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     target = directory / f"{_cache_key(machine, n)}.json"
@@ -917,13 +913,18 @@ def cache_load(
         return None
     try:
         document = json.loads(target.read_text())
+        if not isinstance(document, dict):
+            raise ValueError("not a JSON object")
         if document.get("version") != ENGINE_VERSION:
             return None
         payload = document["result"]
         digest = hashlib.sha256(_canonical(payload).encode()).hexdigest()
         if digest != document["checksum"]:
             raise ValueError("checksum mismatch")
-        return EnumerationResult.from_json_dict(payload)
+        result = EnumerationResult.from_json_dict(payload)
+        if list(result.machine) != list(machine) or result.n != n:
+            raise ValueError(f"entry holds machine {list(result.machine)}, n={result.n}")
+        return result
     except (ValueError, KeyError, TypeError) as error:
         warnings.warn(
             f"discarding unreadable cache entry {target.name}: {error}",
@@ -950,5 +951,12 @@ def enumerate_cached(
         result = enumerate_single_machine(n, sigma, workers=workers)
     else:
         result = enumerate_sortable(n, sigma, tau, workers=workers)
-    cache_store(result, cache_dir)
+    try:
+        cache_store(result, cache_dir)
+    except OSError as error:
+        warnings.warn(
+            f"could not store the result in the cache: {error}",
+            CacheStoreFailed,
+            stacklevel=2,
+        )
     return result, False

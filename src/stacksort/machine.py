@@ -4,9 +4,14 @@ One pass reads the input left to right through a single stack.  Before each
 push the stack is read top to bottom as a word; if pushing the next input
 value on top would make that word contain a forbidden pattern, the top is
 popped to the output instead and the test runs again.  When the input is
-exhausted the stack is flushed.  A two-stack machine chains a pass for the
-patterns {sigma, tau} into the classical increasing-stack pass (forbidden
-pattern 21), which sorts exactly the 231-avoiding inputs.
+exhausted the stack is flushed.
+
+The generator ``_pops`` is the only implementation of that pass; it yields
+values in the order they leave the stack.  West's classical stack sort is the
+pass with the single forbidden pattern 21, and the two-stack machine chains
+the pass for {sigma, tau} into it.  A trace is rebuilt from the pop order,
+and the sortability test stops at the first value that leaves the second
+stack out of order.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .perms import (
+    PATTERN_21,
     BivincularPattern,
     PatternSet,
     Permutation,
@@ -37,8 +43,6 @@ PUSH = "PUSH"
 POP_BLOCKED = "POP_BLOCKED"
 POP_FLUSH = "POP_FLUSH"
 
-PATTERN_21 = Permutation((2, 1))
-PATTERN_231 = Permutation((2, 3, 1))
 WEST_PATTERNS = PatternSet.of(PATTERN_21)
 
 
@@ -143,14 +147,13 @@ def _blocked(stack: list[int], v: int, compiled) -> bool:
 
     The stack already avoids every pattern, and the hypothetical new top is
     the first letter of the word read top to bottom, so only occurrences
-    starting at v need checking for the compiled short patterns.
+    starting at v need checking for the compiled short patterns.  A stack
+    avoiding a length-2 pattern is monotone, so those compare v with the top.
     """
     rels2, rels3, general_classical, bivincular = compiled
     m = len(stack)
-    if rels2:
-        for a in stack:
-            if (v < a) in rels2:
-                return True
+    if rels2 and (v < stack[-1]) in rels2:
+        return True
     if rels3 and m >= 2:
         for i in range(m - 1, 0, -1):
             a = stack[i]
@@ -170,67 +173,69 @@ def _blocked(stack: list[int], v: int, compiled) -> bool:
     return False
 
 
-def _word_pass(word: Sequence[int], compiled) -> tuple[int, ...]:
+_WEST_COMPILED = _compile(WEST_PATTERNS)
+
+
+def _pops(word: Iterable[int], compiled) -> Iterator[int]:
+    """The right-greedy pass, yielding values in the order they leave the stack.
+
+    This loop is the only definition of the machine: both stacks, traced or
+    not, run through it, and a consumer may stop at any value.
+    """
     stack: list[int] = []
-    out: list[int] = []
-    emit = out.append
     push = stack.append
     pop = stack.pop
     for v in word:
         while stack and _blocked(stack, v, compiled):
-            emit(pop())
+            yield pop()
         push(v)
     while stack:
-        emit(pop())
-    return tuple(out)
+        yield pop()
 
 
-def _west_word(word: Sequence[int]) -> tuple[int, ...]:
+def _replay(entries: tuple[int, ...], popped: tuple[int, ...]) -> tuple[StackStep, ...]:
+    """Rebuild the steps of a pass from its input and its pop order.
+
+    A value leaves only from the top, so every input ahead of it is pushed
+    first and nothing after it is; a pop is blocked while input is pending
+    and a flush once the input has run out.
+    """
+    steps: list[StackStep] = []
     stack: list[int] = []
-    out: list[int] = []
-    for v in word:
-        while stack and stack[-1] < v:
-            out.append(stack.pop())
-        stack.append(v)
-    while stack:
-        out.append(stack.pop())
-    return tuple(out)
-
-
-def _word_contains_231(w: Sequence[int]) -> bool:
-    # occurrence (i, j, k): w[k] < w[i] < w[j], so an i < j with
-    # min(w[j+1:]) < w[i] < w[j] is exactly what to look for
-    n = len(w)
-    if n < 3:
-        return False
-    suffix_min = [0] * (n + 1)
-    suffix_min[n] = max(w) + 1
-    for t in range(n - 1, -1, -1):
-        v = w[t]
-        below = suffix_min[t + 1]
-        suffix_min[t] = v if v < below else below
-    for j in range(1, n - 1):
-        vj = w[j]
-        floor = suffix_min[j + 1]
-        for i in range(j):
-            if floor < w[i] < vj:
-                return True
-    return False
+    i = 0
+    for k, t in enumerate(popped):
+        while not stack or stack[-1] != t:
+            stack.append(entries[i])
+            i += 1
+            steps.append(
+                StackStep(PUSH, entries[i - 1], entries[i:], tuple(reversed(stack)), popped[:k])
+            )
+        stack.pop()
+        action = POP_BLOCKED if i < len(entries) else POP_FLUSH
+        steps.append(
+            StackStep(action, t, entries[i:], tuple(reversed(stack)), popped[: k + 1])
+        )
+    return tuple(steps)
 
 
 def _sortable_word(word: Sequence[int], compiled) -> bool:
-    mid = _word_pass(word, compiled)
-    sortable = not _word_contains_231(mid)
-    # cross-check against running the second stack for real
-    assert sortable == (_west_word(mid) == tuple(range(1, len(mid) + 1)))
-    return sortable
+    """Does the {sigma, tau} pass followed by the 21 pass output 1, 2, ..., n?"""
+    out = _pops(_pops(word, compiled), _WEST_COMPILED)
+    return all(v == expected for expected, v in enumerate(out, start=1))
+
+
+def machine_patterns(
+    sigma: Permutation | BivincularPattern, tau: Permutation | BivincularPattern
+) -> PatternSet:
+    """The first stack's forbidden set; the machine needs two distinct patterns."""
+    if sigma == tau:
+        raise DegeneratePair(f"need two distinct patterns, got {sigma} twice")
+    return PatternSet.of(sigma, tau)
 
 
 @lru_cache(maxsize=None)
 def _compile_pair(sigma: Permutation, tau: Permutation):
-    if sigma == tau:
-        raise DegeneratePair(f"need two distinct patterns, got {sigma} twice")
-    return _compile(PatternSet.of(sigma, tau))
+    return _compile(machine_patterns(sigma, tau))
 
 
 # ---- public operations -------------------------------------------------
@@ -247,49 +252,22 @@ def pattern_stack_pass(
     output and a full step-by-step trace.
     """
     patterns = PatternSet.coerce(patterns)
-    compiled = _compile(patterns)
+    output = tuple(_pops(x.entries, _compile(patterns)))
     if not want_trace:
-        return Permutation(_word_pass(x.entries, compiled))
-
-    steps: list[StackStep] = []
-    stack: list[int] = []
-    out: list[int] = []
-    pending = x.entries
-    i = 0
-    while i < len(pending):
-        v = pending[i]
-        if stack and _blocked(stack, v, compiled):
-            t = stack.pop()
-            out.append(t)
-            steps.append(
-                StackStep(POP_BLOCKED, t, pending[i:], tuple(reversed(stack)), tuple(out))
-            )
-        else:
-            stack.append(v)
-            i += 1
-            steps.append(
-                StackStep(PUSH, v, pending[i:], tuple(reversed(stack)), tuple(out))
-            )
-    while stack:
-        t = stack.pop()
-        out.append(t)
-        steps.append(StackStep(POP_FLUSH, t, (), tuple(reversed(stack)), tuple(out)))
-    output = Permutation(tuple(out))
-    return output, StackTrace(patterns, x, tuple(steps), output)
+        return Permutation(output)
+    trace = StackTrace(patterns, x, _replay(x.entries, output), Permutation(output))
+    return trace.output, trace
 
 
 def west_pass(x: Permutation, want_trace: bool = False):
     """The classical stack-sorting pass: the stack stays increasing top down.
 
-    Behaves exactly like ``pattern_stack_pass`` with the single forbidden
-    pattern 21, but runs on a fast path.
+    This is ``pattern_stack_pass`` with the single forbidden pattern 21.
 
     >>> str(west_pass(Permutation.from_digits("3412")))
     '3 1 2 4'
     """
-    if want_trace:
-        return pattern_stack_pass(x, WEST_PATTERNS, want_trace=True)
-    return Permutation(_west_word(x.entries))
+    return pattern_stack_pass(x, WEST_PATTERNS, want_trace)
 
 
 def machine(x: Permutation, sigma: Permutation, tau: Permutation) -> Permutation:
@@ -303,17 +281,14 @@ def machine(x: Permutation, sigma: Permutation, tau: Permutation) -> Permutation
     >>> str(machine(p("4213"), p("132"), p("321")))
     '1 2 3 4'
     """
-    if sigma == tau:
-        raise DegeneratePair(f"need two distinct patterns, got {sigma} twice")
-    mid = pattern_stack_pass(x, PatternSet.of(sigma, tau))
-    return west_pass(mid)
+    return west_pass(pattern_stack_pass(x, machine_patterns(sigma, tau)))
 
 
 def is_sortable(x: Permutation, sigma: Permutation, tau: Permutation) -> bool:
     """Does the (sigma, tau)-machine sort x to the identity?
 
-    Decided by testing the intermediate word for 231: the final increasing
-    stack sorts a word exactly when the word avoids 231.
+    Runs both passes as one chain and answers False at the first value that
+    leaves the second stack out of order.
 
     >>> p = Permutation.from_digits
     >>> [is_sortable(p(w), p("132"), p("321")) for w in ("4213", "2314")]

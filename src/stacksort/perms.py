@@ -249,8 +249,16 @@ class BivincularPattern:
                 raise ValueError(f"value constraint {v} not in 1..{m - 1}")
 
 
-STAR_123 = BivincularPattern(Permutation((1, 2, 3)), frozenset({2}), frozenset({2}))
-STAR_132 = BivincularPattern(Permutation((1, 3, 2)), frozenset({2}), frozenset({2}))
+PATTERN_21 = Permutation((2, 1))
+PATTERN_123 = Permutation((1, 2, 3))
+PATTERN_132 = Permutation((1, 3, 2))
+PATTERN_213 = Permutation((2, 1, 3))
+PATTERN_231 = Permutation((2, 3, 1))
+PATTERN_312 = Permutation((3, 1, 2))
+PATTERN_321 = Permutation((3, 2, 1))
+
+STAR_123 = BivincularPattern(PATTERN_123, frozenset({2}), frozenset({2}))
+STAR_132 = BivincularPattern(PATTERN_132, frozenset({2}), frozenset({2}))
 
 Pattern = "Permutation | BivincularPattern"
 

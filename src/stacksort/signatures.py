@@ -19,6 +19,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .perms import (
+    PATTERN_123,
+    PATTERN_132,
     Permutation,
     PatternSet,
     avoiders,
@@ -26,9 +28,6 @@ from .perms import (
     insert_max_at,
     smallest_k,
 )
-
-PATTERN_123 = Permutation((1, 2, 3))
-PATTERN_132 = Permutation((1, 3, 2))
 
 #: The only source/target pairs the matching is defined (and proven) for.
 DIRECTIONS = ((PATTERN_132, PATTERN_123), (PATTERN_123, PATTERN_132))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stacksort import harness
 from stacksort.cli import build_parser, run
 
 
@@ -43,6 +44,15 @@ def test_trace_sorts_the_sortable(capsys):
     assert "sorted: yes" in out
 
 
+def test_trace_rejects_a_degenerate_pair(capsys):
+    code, out, err = invoke(
+        capsys, "trace", "--sigma", "132", "--tau", "132", "--perm", "2314"
+    )
+    assert code == 2
+    assert out == ""
+    assert "two distinct patterns" in err
+
+
 def test_enumerate_csv_golden(capsys, tmp_path):
     code, out, _ = invoke(
         capsys,
@@ -67,6 +77,38 @@ def test_enumerate_uses_cache_on_second_run(capsys, tmp_path):
     assert code == 0
     assert "72 sortable" in out
     assert "cache hit" in err
+
+
+def test_enumerate_rescans_an_entry_stored_under_another_key(capsys, tmp_path):
+    invoke(
+        capsys,
+        "enumerate", "--sigma", "132", "--tau", "321", "--n", "5",
+        "--cache-dir", str(tmp_path),
+    )
+    (entry,) = tmp_path.glob("*.json")
+    entry.rename(tmp_path / f"{harness._cache_key(('132', '321'), 6)}.json")
+    with pytest.warns(harness.CorruptCacheEntry):
+        code, out, err = invoke(
+            capsys,
+            "enumerate", "--sigma", "132", "--tau", "321", "--n", "6",
+            "--cache-dir", str(tmp_path),
+        )
+    assert code == 0
+    assert out == "machine 132+321, n=6: 72 sortable permutations\n"
+    assert "cache hit" not in err
+
+
+def test_enumerate_prints_the_result_when_the_cache_cannot_store(capsys, tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    with pytest.warns(harness.CacheStoreFailed):
+        code, out, _ = invoke(
+            capsys,
+            "enumerate", "--sigma", "132", "--tau", "321", "--n", "6",
+            "--cache-dir", str(not_a_dir),
+        )
+    assert code == 0
+    assert out == "machine 132+321, n=6: 72 sortable permutations\n"
 
 
 def test_enumerate_single_machine(capsys, tmp_path):

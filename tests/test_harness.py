@@ -167,9 +167,10 @@ def test_cache_ignores_unreadable_entry(tmp_path):
     result = enumerate_sortable(4, P("132"), P("321"))
     cache_store(result, tmp_path)
     (entry,) = tmp_path.glob("*.json")
-    entry.write_text("not json at all")
-    with pytest.warns(CorruptCacheEntry):
-        assert cache_load(("132", "321"), 4, tmp_path) is None
+    for text in ("not json at all", "[]"):
+        entry.write_text(text)
+        with pytest.warns(CorruptCacheEntry):
+            assert cache_load(("132", "321"), 4, tmp_path) is None
 
 
 def test_cache_version_mismatch_is_silent_miss(tmp_path):

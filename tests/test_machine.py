@@ -18,6 +18,7 @@ from stacksort.machine import (
     west_pass,
 )
 from stacksort.perms import (
+    STAR_123,
     STAR_132,
     PatternSet,
     Permutation,
@@ -90,11 +91,17 @@ def test_machine_output_is_permutation(x):
 
 
 def test_sortable_iff_intermediate_avoids_231():
-    for x in all_perms(6):
-        mid = pattern_stack_pass(x, PatternSet.of(P("132"), P("321")))
-        sortable = is_sortable(x, P("132"), P("321"))
-        assert sortable == (not oracles.contains(mid.entries, (2, 3, 1)))
-        assert sortable == (machine(x, P("132"), P("321")) == identity(6))
+    # is_sortable stops at the first value the second stack emits out of
+    # order; the increasing stack sorts exactly the 231-avoiders, and the
+    # oracle reruns both stacks from scratch
+    for sigma, tau in PAIRS:
+        for n in range(7):
+            for x in all_perms(n):
+                mid = pattern_stack_pass(x, PatternSet.of(sigma, tau))
+                sortable = is_sortable(x, sigma, tau)
+                assert sortable == (not oracles.contains(mid.entries, (2, 3, 1))), (x, sigma, tau)
+                assert sortable == oracles.machine_sorts(x.entries, sigma.entries, tau.entries)
+                assert sortable == (machine(x, sigma, tau) == identity(n))
 
 
 def test_degenerate_and_empty_pattern_sets():
@@ -110,19 +117,30 @@ def test_empty_input_passes_through():
     assert west_pass(empty) == empty
 
 
-@given(perms(7))
-def test_traced_output_matches_untraced(x):
-    patterns = PatternSet.of(P("132"), P("321"))
-    plain = pattern_stack_pass(x, patterns)
-    traced, trace = pattern_stack_pass(x, patterns, want_trace=True)
-    assert plain == traced == trace.output
-    validate_trace(trace)
+def test_traced_output_matches_untraced():
+    # traces are rebuilt from the pop order, so check every one of them up
+    # to a length where the starred sets stay cheap to recheck
+    traced_sets = [
+        (PatternSet.of(P("132"), P("321")), {"classical": ((1, 3, 2), (3, 2, 1))}, 7),
+        (PatternSet.of(P("123"), STAR_132), {"classical": ((1, 2, 3),), "stars": ((1, 3, 2),)}, 6),
+        (PatternSet.of(STAR_123, P("321")), {"classical": ((3, 2, 1),), "stars": ((1, 2, 3),)}, 6),
+    ]
+    for patterns, oracle_args, n_max in traced_sets:
+        for n in range(n_max + 1):
+            for x in all_perms(n):
+                plain = pattern_stack_pass(x, patterns)
+                traced, trace = pattern_stack_pass(x, patterns, want_trace=True)
+                assert plain == traced == trace.output
+                assert plain.entries == oracles.stack_pass(x.entries, **oracle_args), x
+                validate_trace(trace)
 
 
-@given(perms(7))
-def test_west_trace_validates(x):
-    _, trace = west_pass(x, want_trace=True)
-    validate_trace(trace)
+def test_west_trace_validates():
+    for n in range(8):
+        for x in all_perms(n):
+            out, trace = west_pass(x, want_trace=True)
+            assert out.entries == oracles.west(x.entries), x
+            validate_trace(trace)
 
 
 def test_validate_trace_rejects_tampering():
