@@ -7,7 +7,9 @@ and output bytes are deterministic: nothing here consults a clock, a
 random source, or unordered iteration.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
-2 on usage errors (argparse's own convention).
+2 on usage errors (argparse's own convention), 3 on any other exception,
+which is a bug in the package and is reported as one "internal error:"
+line on stderr.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ import csv
 import io
 import json
 import sys
+import traceback
 from pathlib import Path
 
+# count_dyck_avoiding is not called here (dyck --n counts both totals in one
+# dyck_paths pass), but perfbench/spans.py wraps it by name in this module.
 from .dyck import (
     FACTOR_DUDU,
     contains_factor,
@@ -263,8 +268,10 @@ def _cmd_dyck(args: argparse.Namespace) -> int:
         )
         return 0
     n = args.n
-    total = sum(1 for _ in dyck_paths(n))
-    avoiding = count_dyck_avoiding(n, FACTOR_DUDU)
+    total = avoiding = 0
+    for path in dyck_paths(n):
+        total += 1
+        avoiding += not contains_factor(path, FACTOR_DUDU)
     if args.format == "json":
         _emit_json({"n": n, "paths": total, "avoiding_dudu": avoiding})
         return 0
@@ -439,6 +446,13 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, LookupError, OverflowError, ArithmeticError) as exc:
         _note(f"error: {exc}")
         return 2
+    except Exception as exc:
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        _note(
+            f"internal error: {type(exc).__name__}: {exc} "
+            f"({Path(where.filename).name}:{where.lineno} in {where.name})"
+        )
+        return 3
 
 
 def main() -> None:

@@ -144,6 +144,8 @@ class EnumerationResult:
     @classmethod
     def from_json_dict(cls, data: dict) -> "EnumerationResult":
         witnesses = data["witnesses"]
+        if witnesses is not None and not all(isinstance(w, str) for w in witnesses):
+            raise TypeError("witnesses must be permutation strings")
         return cls(
             tuple(data["machine"]),
             data["n"],
@@ -903,8 +905,8 @@ def cache_load(
     """Reload a stored result; anything untrustworthy is a miss.
 
     A missing file or a version from another engine generation is an
-    ordinary miss.  A file that exists but fails parsing or its checksum, or
-    holds the result for another machine or length, warns with
+    ordinary miss.  An entry that cannot be read, fails parsing or its
+    checksum, or holds the result for another machine or length, warns with
     CorruptCacheEntry and is then treated as a miss too.
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
@@ -925,7 +927,7 @@ def cache_load(
         if list(result.machine) != list(machine) or result.n != n:
             raise ValueError(f"entry holds machine {list(result.machine)}, n={result.n}")
         return result
-    except (ValueError, KeyError, TypeError) as error:
+    except (OSError, ValueError, KeyError, TypeError) as error:
         warnings.warn(
             f"discarding unreadable cache entry {target.name}: {error}",
             CorruptCacheEntry,

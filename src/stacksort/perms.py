@@ -401,6 +401,23 @@ def _completes_at_end(word: Sequence[int], pat: Sequence[int]) -> bool:
     if m > n:
         return False
     last = word[-1]
+    if m == 2:
+        asc = pat[0] < pat[1]
+        for i in range(n - 1):
+            if (word[i] < last) == asc:
+                return True
+        return False
+    if m == 3:
+        p01, p02, p12 = pat[0] < pat[1], pat[0] < pat[2], pat[1] < pat[2]
+        for j in range(1, n - 1):
+            wj = word[j]
+            if (wj < last) != p12:
+                continue
+            for i in range(j):
+                wi = word[i]
+                if (wi < wj) == p01 and (wi < last) == p02:
+                    return True
+        return False
     for combo in itertools.combinations(range(n - 1), m - 1):
         sub = tuple(word[c] for c in combo) + (last,)
         if _order_iso(sub, pat):

@@ -8,8 +8,12 @@ and West's observation is that avoiders of 123 and avoiders of 132 are
 matched one-to-one by having equal signatures.
 
 The bijection here is realized by exhaustive signature matching over the
-generated avoider lists rather than by a succession rule: the index is
-built once per (length, pattern) and certifies uniqueness as it goes.
+generated avoider lists rather than by a succession rule.  Signatures of a
+whole avoider class are built level by level: removing the maximum of an
+avoider leaves an avoider one shorter whose signature is the tail of the
+longer one's, so each avoider costs one active-site count on top of the
+class one shorter.  The lookup index is built once per (length, pattern)
+from those signatures and still certifies uniqueness as it goes.
 """
 
 from __future__ import annotations
@@ -134,11 +138,35 @@ def has_plateau(sig: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _signatures(n: int, target: Permutation) -> Mapping[Permutation, tuple[int, ...]]:
+    """Avoider -> signature over Av_n(target), in avoiders order.
+
+    Removing the maximum of x leaves smallest_k(x, n-1), an avoider of
+    length n-1 whose signature is the tail of x's, so each entry is one
+    active-site count prepended to an entry of the (n-1) map.
+    """
+    level = avoiders(n, PatternSet.of(target))  # refuses n past the cap first
+    if n == 0:
+        return MappingProxyType({x: () for x in level})
+    shorter = _signatures(n - 1, target)
+    return MappingProxyType(
+        {
+            x: (len(active_sites(x, target)),) + shorter[smallest_k(x, n - 1)]
+            for x in level
+        }
+    )
+
+
+@lru_cache(maxsize=None)
 def _signature_index(n: int, target: Permutation) -> Mapping[tuple[int, ...], Permutation]:
-    """Signature -> avoider lookup over Av_n(target), certified injective."""
+    """Signature -> avoider lookup over Av_n(target), certified injective.
+
+    Inverts _signatures(n, target) in avoiders order and raises
+    DuplicateSignature at the first signature two avoiders share, so a
+    finished index is a proof that the signature is unique on Av_n(target).
+    """
     index: dict[tuple[int, ...], Permutation] = {}
-    for x in avoiders(n, PatternSet.of(target)):
-        sig = signature(x, target)
+    for x, sig in _signatures(n, target).items():
         clash = index.get(sig)
         if clash is not None:
             raise DuplicateSignature(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stacksort import harness
+from stacksort import cli, harness
 from stacksort.cli import build_parser, run
 
 
@@ -96,6 +96,22 @@ def test_enumerate_rescans_an_entry_stored_under_another_key(capsys, tmp_path):
     assert code == 0
     assert out == "machine 132+321, n=6: 72 sortable permutations\n"
     assert "cache hit" not in err
+
+
+def test_enumerate_rescans_an_entry_it_cannot_read(capsys, tmp_path):
+    (tmp_path / f"{harness._cache_key(('132', '321'), 5)}.json").mkdir()
+    with pytest.warns(UserWarning) as record:
+        code, out, err = invoke(
+            capsys,
+            "enumerate", "--sigma", "132", "--tau", "321", "--n", "5",
+            "--cache-dir", str(tmp_path),
+        )
+    assert code == 0
+    assert out == "machine 132+321, n=5: 26 sortable permutations\n"
+    # the directory in the entry's place also blocks the store
+    assert {w.category for w in record} == {
+        harness.CorruptCacheEntry, harness.CacheStoreFailed,
+    }
 
 
 def test_enumerate_prints_the_result_when_the_cache_cannot_store(capsys, tmp_path):
@@ -227,6 +243,18 @@ def test_usage_errors_exit_two(capsys):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_sequences", broken)
+    code, out, err = invoke(capsys, "sequences", "--n-max", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: boom (")
+    assert err.count("\n") == 1
 
 
 def test_bad_permutation_is_a_usage_error(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from stacksort.harness import (
     EnumerationResult,
     SuiteReport,
     VerificationReport,
+    _canonical,
     cache_load,
     cache_store,
     conjecture_tables,
@@ -171,6 +173,18 @@ def test_cache_ignores_unreadable_entry(tmp_path):
         entry.write_text(text)
         with pytest.warns(CorruptCacheEntry):
             assert cache_load(("132", "321"), 4, tmp_path) is None
+
+
+def test_cache_rejects_witnesses_that_are_not_strings(tmp_path):
+    result = enumerate_sortable(2, P("132"), P("321"))
+    cache_store(result, tmp_path)
+    (entry,) = tmp_path.glob("*.json")
+    doc = json.loads(entry.read_text())
+    doc["result"]["witnesses"] = [12, 21]
+    doc["checksum"] = hashlib.sha256(_canonical(doc["result"]).encode()).hexdigest()
+    entry.write_text(json.dumps(doc))
+    with pytest.warns(CorruptCacheEntry):
+        assert cache_load(("132", "321"), 2, tmp_path) is None
 
 
 def test_cache_version_mismatch_is_silent_miss(tmp_path):

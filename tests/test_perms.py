@@ -1,3 +1,4 @@
+from itertools import combinations
 from itertools import permutations as iter_perms
 
 import pytest
@@ -165,9 +166,28 @@ def test_avoiders_counts_catalan():
         assert got == oracles.catalan(n)
 
 
+THREE = ("123", "132", "213", "231", "312", "321")
+#: every classical pattern of length 2 and 3, every pair of 3-patterns, and
+#: one 4-pattern for the generic branch of the last-entry test
+AVOIDER_SETS = (
+    [(p,) for p in ("12", "21") + THREE]
+    + list(combinations(THREE, 2))
+    + [("1324",)]
+)
+
+
 def test_avoiders_streams_lexicographically():
-    seq = [x.entries for x in avoiders(4, [Permutation.from_digits("123")])]
-    assert seq == sorted(seq)
+    # the generator must emit exactly the lexicographic filter of S_n
+    for n in range(8):
+        words = list(iter_perms(range(1, n + 1)))
+        containers = {
+            p: {w for w in words if oracles.contains(w, tuple(map(int, p)))}
+            for p in {p for s in AVOIDER_SETS for p in s}
+        }
+        for s in AVOIDER_SETS:
+            want = [w for w in words if not any(w in containers[p] for p in s)]
+            got = [x.entries for x in avoiders(n, [Permutation.from_digits(p) for p in s])]
+            assert got == want, (n, s)
 
 
 def test_avoiders_with_star_pattern():

@@ -73,12 +73,21 @@ def test_every_avoider_has_a_partner():
 
 def test_signature_index_is_total_and_injective():
     # the lookup table raises on any signature clash while it is built, so
-    # its mere construction certifies injectivity; totality is the count
+    # its mere construction certifies injectivity; totality is the count.
+    # Its signatures come from the class one shorter, so compare the whole
+    # table with signatures recomputed from scratch.
     from stacksort.signatures import _signature_index
 
-    for n in range(1, 7):
+    for n in range(8):
         for target in (P123, P132):
-            assert len(_signature_index(n, target)) == oracles.catalan(n)
+            index = _signature_index(n, target)
+            assert len(index) == oracles.catalan(n)
+            want = {
+                oracles.signature(w, target.entries): Permutation(w)
+                for w in iter_perms(range(1, n + 1))
+                if not oracles.contains(w, target.entries)
+            }
+            assert dict(index) == want, (n, target)
 
 
 def test_signatures_end_in_final_active_count():
