@@ -25,7 +25,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .dyck import (
     FACTOR_DUDU,
@@ -67,8 +67,17 @@ from .perms import (
     smallest_k,
     swap12,
 )
-from .sequences import SequenceTable, g_sequence, sort_123_321_closed
+from .sequences import (
+    SequenceTable,
+    binomial_transform_catalan,
+    catalan,
+    g_sequence,
+    powers_2_shifted,
+    schroder_large,
+    sort_123_321_closed,
+)
 from .signatures import (
+    _signatures,
     active_sites,
     format_signature,
     has_plateau,
@@ -85,24 +94,28 @@ WITNESS_DEFAULT_MAX = 8
 ENGINE_VERSION = "1"
 CACHE_ENV_VAR = "STACKSORT_CACHE_DIR"
 
-#: Reference prefixes keyed by catalog id, each with the offset its row
-#: comparison established empirically.  The single-123 machine has no
-#: independent reference available offline, so its prefix was frozen from
-#: this package's own enumeration and acts as a regression guard only.
-OEIS_PREFIXES: Mapping[str, SequenceTable] = {
-    "A000108": SequenceTable(
-        "A000108", 0, (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
+#: Reference prefixes, each with the offset its row comparison established
+#: empirically and the generator that recomputes it up to the prefix's last
+#: index.  The single-123 machine has no independent reference available
+#: offline, so its prefix was frozen from this package's own enumeration, has
+#: no generator and acts as a regression guard only.
+REFERENCE_ROWS: tuple[tuple[SequenceTable, Callable[[int], SequenceTable] | None], ...] = (
+    (SequenceTable("A000108", 0, (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)), catalan),
+    (
+        SequenceTable("A006318", 0, (1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098)),
+        schroder_large,
     ),
-    "A006318": SequenceTable(
-        "A006318", 0, (1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098)
+    (
+        SequenceTable("A007317", 0, (1, 2, 5, 15, 51, 188, 731, 2950, 12235, 51822)),
+        binomial_transform_catalan,
     ),
-    "A007317": SequenceTable(
-        "A007317", 0, (1, 2, 5, 15, 51, 188, 731, 2950, 12235, 51822)
-    ),
-    "A011782": SequenceTable("A011782", 0, (1, 1, 2, 4, 8, 16, 32, 64, 128, 256)),
-    "A102407": SequenceTable("A102407", 1, (1, 2, 4, 10, 26, 72, 206, 606)),
-    "A294790": SequenceTable("A294790", 1, (1, 2, 5, 13, 35, 99, 295, 920)),
-}
+    (SequenceTable("A011782", 0, (1, 1, 2, 4, 8, 16, 32, 64, 128, 256)), powers_2_shifted),
+    (SequenceTable("A102407", 1, (1, 2, 4, 10, 26, 72, 206, 606)), g_sequence),
+    (SequenceTable("A294790", 1, (1, 2, 5, 13, 35, 99, 295, 920)), None),
+)
+
+#: The reference prefixes keyed by catalog id.
+OEIS_PREFIXES: Mapping[str, SequenceTable] = {table.name: table for table, _ in REFERENCE_ROWS}
 
 
 class CorruptCacheEntry(UserWarning):
@@ -313,7 +326,19 @@ def _claim(
     return VerificationReport(claim_id, (lo, hi), status, shown, detail)
 
 
-def _require_n_max(n_max: int, cap: int, suite: str) -> None:
+#: Largest n_max each suite accepts; also the default the CLI clamps to.
+SUITE_CAPS = {
+    "characterization": 9,
+    "west": 9,
+    "dyck": 9,
+    "structure": 10,
+    "tables": 9,
+    "conjecture": 11,
+}
+
+
+def _require_n_max(n_max: int, suite: str) -> None:
+    cap = SUITE_CAPS[suite]
     if not 0 <= n_max <= cap:
         raise ValueError(f"{suite} runs for n_max in 0..{cap}, got {n_max}")
 
@@ -324,7 +349,7 @@ def _require_n_max(n_max: int, cap: int, suite: str) -> None:
 def verify_characterization(n_max: int = 7, workers: int = 1) -> SuiteReport:
     """The (132,321)-sortable permutations are exactly the 123-avoiders
     with no adjacent-middle 132; their counts follow the g recurrence."""
-    _require_n_max(n_max, 9, "characterization")
+    _require_n_max(n_max, "characterization")
     g = g_sequence(n_max)
     set_bad: list[str] = []
     count_bad: list[str] = []
@@ -365,7 +390,7 @@ def _west_golden_claim() -> VerificationReport:
 def verify_west(n_max: int = 7) -> SuiteReport:
     """Signature injectivity, the signature-matching bijection, the plateau
     criteria, and the structural facts feeding them."""
-    _require_n_max(n_max, 9, "west")
+    _require_n_max(n_max, "west")
     inj123: list[str] = []
     inj132: list[str] = []
     multiset: list[str] = []
@@ -380,25 +405,19 @@ def verify_west(n_max: int = 7) -> SuiteReport:
     recursion: list[str] = []
 
     for n in range(n_max + 1):
-        av123 = list(avoiders(n, PatternSet.of(PATTERN_123)))
-        av132 = list(avoiders(n, PatternSet.of(PATTERN_132)))
-        sigs123 = {}
-        for x in av123:
-            sig = signature(x, PATTERN_123)
-            if sig in sigs123:
-                inj123.append(f"n={n}: {x} and {sigs123[sig]} share {sig}")
-            sigs123[sig] = x
-        sigs132 = {}
-        for x in av132:
-            sig = signature(x, PATTERN_132)
-            if sig in sigs132:
-                inj132.append(f"n={n}: {x} and {sigs132[sig]} share {sig}")
-            sigs132[sig] = x
-        if set(sigs123) != set(sigs132):
-            for sig in sorted(set(sigs123) ^ set(sigs132)):
+        # avoider -> signature, in avoiders order
+        av123 = _signatures(n, PATTERN_123)
+        av132 = _signatures(n, PATTERN_132)
+        for av, injectivity in ((av123, inj123), (av132, inj132)):
+            owner = {}
+            for x, sig in av.items():
+                if sig in owner:
+                    injectivity.append(f"n={n}: {x} and {owner[sig]} share {sig}")
+                owner[sig] = x
+        if set(av123.values()) != set(av132.values()):
+            for sig in sorted(set(av123.values()) ^ set(av132.values())):
                 multiset.append(f"n={n}: signature {format_signature(sig)} on one side only")
-        for x in av123:
-            sig = signature(x, PATTERN_123)
+        for x, sig in av123.items():
             if n >= 1 and sig[-1] != 2:
                 last_two.append(f"n={n}: signature of {x} ends in {sig[-1]}")
             if has_plateau(sig) != contains_bivincular(x, STAR_132):
@@ -411,8 +430,7 @@ def verify_west(n_max: int = 7) -> SuiteReport:
                 expected = max(off_diagonal)
                 if x.entries[len(sites) - 1] != expected:
                     locate_max.append(f"n={n}: {x}: entry at {len(sites)} is not {expected}")
-        for x in av132:
-            sig = signature(x, PATTERN_132)
+        for x, sig in av132.items():
             if has_plateau(sig) != contains_bivincular(x, STAR_123):
                 plateau132.append(f"n={n}: {x}")
             if n >= 1:
@@ -494,7 +512,7 @@ def _dyck_golden_claim() -> VerificationReport:
 def verify_dyck(n_max: int = 7) -> SuiteReport:
     """The staircase map bijects 123-avoiders onto Dyck paths and turns the
     adjacent-middle 132 into a dudu factor; counts close the triangle."""
-    _require_n_max(n_max, 9, "dyck")
+    _require_n_max(n_max, "dyck")
     g = g_sequence(n_max)
     bijection: list[str] = []
     capacity: list[str] = []
@@ -537,7 +555,7 @@ def verify_dyck(n_max: int = 7) -> SuiteReport:
 def verify_sortable_structure(n_max: int = 8, workers: int = 1) -> SuiteReport:
     """Shape of the (123,321)-sortable set: forced ends, forced max position,
     the swap and append closures, and the doubling count."""
-    _require_n_max(n_max, 10, "structure")
+    _require_n_max(n_max, "structure")
     counts: list[str] = []
     av123: list[str] = []
     first_entry: list[str] = []
@@ -654,31 +672,19 @@ def verify_tables(n_max: int = 8, workers: int = 1) -> SuiteReport:
     """Brute-force count rows for the classical machine pairs and singles,
     aligned against the reference prefixes; plus the closed form for the
     (123,321) pair and agreement of generated and embedded references."""
-    _require_n_max(n_max, 9, "tables")
+    _require_n_max(n_max, "tables")
     claims: list[VerificationReport] = []
 
-    from .sequences import (  # local alias keeps the table below readable
-        binomial_transform_catalan,
-        catalan,
-        powers_2_shifted,
-        schroder_large,
-    )
-
-    generated = {
-        "A000108": catalan(10).terms,
-        "A006318": schroder_large(9).terms,
-        "A007317": binomial_transform_catalan(9).terms,
-        "A011782": (1,) + powers_2_shifted(9).terms,
-        "A102407": g_sequence(8).terms[1:],
-        "A294790": None,
-    }
-    mismatched = [
-        f"{name}: generated {gen[: len(OEIS_PREFIXES[name].terms)]}"
-        f" vs embedded {OEIS_PREFIXES[name].terms}"
-        for name, gen in generated.items()
-        if gen is not None
-        and gen[: len(OEIS_PREFIXES[name].terms)] != OEIS_PREFIXES[name].terms
-    ]
+    mismatched = []
+    for table, generate in REFERENCE_ROWS:
+        if generate is not None:
+            last = table.offset + len(table.terms) - 1
+            generated = generate(last)
+            shared = range(max(table.offset, generated.offset), last + 1)
+            if any(generated[k] != table[k] for k in shared):
+                mismatched.append(
+                    f"{table.name}: generated {generated.terms} vs embedded {table.terms}"
+                )
     claims.append(_claim("references-match-embedded-prefixes", 0, 9, mismatched))
 
     for label, patterns, reference in TABLE_ROWS:
@@ -766,8 +772,9 @@ def conjecture_tables(
     pass at desk scale says nothing beyond the lengths actually scanned,
     and any disagreement must surface as a failed claim.
     """
-    if not 0 <= n <= 11:
-        raise ValueError(f"conjecture tables run for n in 0..11, got {n}")
+    cap = SUITE_CAPS["conjecture"]
+    if not 0 <= n <= cap:
+        raise ValueError(f"conjecture tables run for n in 0..{cap}, got {n}")
     table_a = _distribution(n, pair_a, workers)
     table_b = _distribution(n, pair_b, workers)
     totals: list[str] = []
@@ -804,7 +811,7 @@ def conjecture_tables(
 
 def verify_conjecture(n_max: int = 8, workers: int = 1) -> SuiteReport:
     """conjecture_tables over every length up to n_max, merged into one report."""
-    _require_n_max(n_max, 11, "conjecture")
+    _require_n_max(n_max, "conjecture")
     merged: dict[str, list[str]] = {}
     # n=0 yields no counterexamples; it supplies the claim ids when n_max is 0
     for n in range(n_max + 1):
@@ -829,17 +836,6 @@ SUITES = {
     "tables": verify_tables,
     "conjecture": verify_conjecture,
 }
-
-#: Largest n_max each suite accepts; also the default the CLI clamps to.
-SUITE_CAPS = {
-    "characterization": 9,
-    "west": 9,
-    "dyck": 9,
-    "structure": 10,
-    "tables": 9,
-    "conjecture": 11,
-}
-
 
 def run_suites(
     names: Iterable[str], n_max: int, workers: int = 1

@@ -12,6 +12,12 @@ pass with the single forbidden pattern 21, and the two-stack machine chains
 the pass for {sigma, tau} into it.  A trace is rebuilt from the pop order,
 and the sortability test stops at the first value that leaves the second
 stack out of order.
+
+The push test lives in ``perms``: ``_ends_at`` is the same new-entry test
+the avoider generator runs on its prefix.  The stack is kept as a list from
+bottom to top, the reverse of the word it must avoid, so ``_compile`` hands
+it the reversed classical patterns; bivincular patterns are checked on the
+whole top-to-bottom word.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from .perms import (
     BivincularPattern,
     PatternSet,
     Permutation,
+    _compile_classical,
+    _ends_at,
     _word_contains,
     _word_contains_bivincular,
 )
@@ -113,64 +121,35 @@ def pattern_set_names(patterns: PatternSet) -> list[str]:
 
 # ---- the pass itself ---------------------------------------------------
 
-# A pattern of length 2 or 3 is compiled to the tuple of "is less than"
-# comparisons between its entries; a candidate subsequence matches exactly
-# when its own comparison tuple is equal.  Longer classical patterns and all
-# bivincular patterns take the generic containment path.
-
 
 @lru_cache(maxsize=None)
 def _compile(patterns: PatternSet):
+    """Compile a forbidden set for ``_pops``.
+
+    The stack is a list from bottom to top, so the word it must avoid, read
+    top to bottom, is that list reversed, and a push appends to the list.
+    The classical patterns are therefore reversed and tested on the list by
+    ``perms._ends_at``; bivincular patterns add a whole-word check.  Returns
+    the push test and the data it takes.
+    """
     if patterns.is_empty():
         raise EmptyPatternSet("need at least one forbidden pattern")
-    rels2 = []
-    rels3 = []
-    general_classical = []
-    for p in patterns.classical:
-        w = p.entries
-        if len(w) < 2:
-            raise ValueError("forbidden patterns must have length >= 2")
-        if len(w) == 2:
-            rels2.append(w[0] < w[1])
-        elif len(w) == 3:
-            rels3.append((w[0] < w[1], w[0] < w[2], w[1] < w[2]))
-        else:
-            general_classical.append(w)
-    for b in patterns.bivincular:
-        if len(b.base) < 2:
-            raise ValueError("forbidden patterns must have length >= 2")
-    return tuple(rels2), tuple(rels3), tuple(general_classical), patterns.bivincular
+    if min(map(len, patterns.classical + tuple(b.base for b in patterns.bivincular))) < 2:
+        raise ValueError("forbidden patterns must have length >= 2")
+    classical = _compile_classical(tuple(p.entries[::-1] for p in patterns.classical))
+    if not patterns.bivincular:
+        return _ends_at, classical
+    return _blocked_with_bivincular, (classical, patterns.bivincular)
 
 
-def _blocked(stack: list[int], v: int, compiled) -> bool:
-    """Would pushing v on the stack create a forbidden occurrence?
-
-    The stack already avoids every pattern, and the hypothetical new top is
-    the first letter of the word read top to bottom, so only occurrences
-    starting at v need checking for the compiled short patterns.  A stack
-    avoiding a length-2 pattern is monotone, so those compare v with the top.
-    """
-    rels2, rels3, general_classical, bivincular = compiled
-    m = len(stack)
-    if rels2 and (v < stack[-1]) in rels2:
-        return True
-    if rels3 and m >= 2:
-        for i in range(m - 1, 0, -1):
-            a = stack[i]
-            va = v < a
-            for j in range(i - 1, -1, -1):
-                b = stack[j]
-                if (va, v < b, a < b) in rels3:
-                    return True
-    if general_classical or bivincular:
-        word = (v,) + tuple(reversed(stack))
-        for w in general_classical:
-            if _word_contains(word, w):
-                return True
-        for b in bivincular:
-            if _word_contains_bivincular(word, b):
-                return True
-    return False
+def _blocked_with_bivincular(stack: list[int], v: int, compiled) -> bool:
+    """The push test with bivincular patterns: a pop can complete one by making
+    two stack values adjacent, so they are checked on the whole stack word."""
+    classical, bivincular = compiled
+    word = (v, *reversed(stack))
+    return _ends_at(stack, v, classical) or any(
+        _word_contains_bivincular(word, b) for b in bivincular
+    )
 
 
 _WEST_COMPILED = _compile(WEST_PATTERNS)
@@ -182,11 +161,12 @@ def _pops(word: Iterable[int], compiled) -> Iterator[int]:
     This loop is the only definition of the machine: both stacks, traced or
     not, run through it, and a consumer may stop at any value.
     """
+    blocked, data = compiled
     stack: list[int] = []
     push = stack.append
     pop = stack.pop
     for v in word:
-        while stack and _blocked(stack, v, compiled):
+        while stack and blocked(stack, v, data):
             yield pop()
         push(v)
     while stack:

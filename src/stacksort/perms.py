@@ -4,12 +4,16 @@ Entries are the values 1..n.  Every position or site that crosses the module
 boundary is 1-based, so worked examples from the enumerative-combinatorics
 literature can be typed in verbatim and checked by eye.  Internal helpers that
 operate on raw ``tuple[int, ...]`` words use ordinary Python indexing.
+
+``_ends_at`` is the one new-entry test: ``avoiders`` runs it on each prefix
+it extends, and the stack machine on its stack with the patterns reversed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_GENERATION_CAP = 12
@@ -260,8 +264,6 @@ PATTERN_321 = Permutation((3, 2, 1))
 STAR_123 = BivincularPattern(PATTERN_123, frozenset({2}), frozenset({2}))
 STAR_132 = BivincularPattern(PATTERN_132, frozenset({2}), frozenset({2}))
 
-Pattern = "Permutation | BivincularPattern"
-
 
 @dataclass(frozen=True)
 class PatternSet:
@@ -395,33 +397,45 @@ def contains_bivincular(x: Permutation, pattern: BivincularPattern) -> bool:
     return _word_contains_bivincular(x.entries, pattern)
 
 
-def _completes_at_end(word: Sequence[int], pat: Sequence[int]) -> bool:
-    """Does some occurrence of pat use the last position of word?"""
-    n, m = len(word), len(pat)
-    if m > n:
-        return False
-    last = word[-1]
-    if m == 2:
-        asc = pat[0] < pat[1]
-        for i in range(n - 1):
-            if (word[i] < last) == asc:
-                return True
-        return False
-    if m == 3:
-        p01, p02, p12 = pat[0] < pat[1], pat[0] < pat[2], pat[1] < pat[2]
-        for j in range(1, n - 1):
-            wj = word[j]
-            if (wj < last) != p12:
-                continue
-            for i in range(j):
-                wi = word[i]
-                if (wi < wj) == p01 and (wi < last) == p02:
+@lru_cache(maxsize=None)
+def _compile_classical(patterns: tuple[tuple[int, ...], ...]):
+    """Compile classical patterns, given as entry tuples, for ``_ends_at``.
+
+    Patterns of length 2 and 3 become the "is less than" comparisons between
+    their entries; a subsequence matches exactly when its own comparisons are
+    equal.  Other lengths stay whole.
+    """
+    rels2 = tuple(p[0] < p[1] for p in patterns if len(p) == 2)
+    rels3 = tuple((p[0] < p[1], p[0] < p[2], p[1] < p[2]) for p in patterns if len(p) == 3)
+    whole = tuple(p for p in patterns if len(p) not in (2, 3))
+    return rels2, rels3, whole
+
+
+def _ends_at(word: Sequence[int], v: int, compiled) -> bool:
+    """Does word + (v,) contain a compiled pattern in an occurrence ending at v?
+
+    ``word`` must be non-empty and already avoid every compiled pattern, so
+    this decides whether appending v keeps it avoiding them.  Such a word is
+    monotone when it avoids a length-2 pattern, so those compare v with the
+    last entry alone; the length-3 loops scan the entries nearest v first.
+    """
+    rels2, rels3, whole = compiled
+    if rels2 and (word[-1] < v) in rels2:
+        return True
+    m = len(word)
+    if rels3 and m > 1:
+        for j in range(m - 1, 0, -1):
+            a = word[j]
+            av = a < v
+            for i in range(j - 1, -1, -1):
+                b = word[i]
+                if (b < a, b < v, av) in rels3:
                     return True
-        return False
-    for combo in itertools.combinations(range(n - 1), m - 1):
-        sub = tuple(word[c] for c in combo) + (last,)
-        if _order_iso(sub, pat):
-            return True
+    if whole:  # the hot passes have none; this skips making an iterator
+        for pat in whole:
+            for combo in itertools.combinations(range(m), len(pat) - 1):
+                if _order_iso([word[c] for c in combo] + [v], pat):
+                    return True
     return False
 
 
@@ -445,7 +459,7 @@ def avoiders(
         raise ValueError("n must be nonnegative")
     if n > cap:
         raise LengthTooLarge(f"n={n} above the generation cap {cap}")
-    classical = tuple(p.entries for p in patterns.classical)
+    compiled = _compile_classical(tuple(p.entries for p in patterns.classical))
     bivincular = patterns.bivincular
 
     prefix: list[int] = []
@@ -458,12 +472,11 @@ def avoiders(
                 yield x
             return
         for v in range(1, n + 1):
-            if used[v]:
+            if used[v] or prefix and _ends_at(prefix, v, compiled):
                 continue
             prefix.append(v)
             used[v] = True
-            if not any(_completes_at_end(prefix, p) for p in classical):
-                yield from rec()
+            yield from rec()
             prefix.pop()
             used[v] = False
 

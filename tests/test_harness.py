@@ -7,6 +7,8 @@ from stacksort.harness import (
     CACHE_ENV_VAR,
     CorruptCacheEntry,
     EnumerationResult,
+    SUITE_CAPS,
+    SUITES,
     SuiteReport,
     VerificationReport,
     _canonical,
@@ -84,6 +86,10 @@ def test_west_suite_small():
 def test_run_suites_clamps_to_caps():
     reports = run_suites(["characterization"], n_max=99)
     assert reports[0].n_max == 9
+    # each suite refuses one past its cap before scanning anything
+    for name, suite in SUITES.items():
+        with pytest.raises(ValueError, match=f"0..{SUITE_CAPS[name]}, got"):
+            suite(SUITE_CAPS[name] + 1)
 
 
 def test_run_suites_rejects_unknown_names():

@@ -59,13 +59,15 @@ def test_golden_figures():
 
 def test_pass_against_naive_engine_exhaustively():
     # the fast pass decides pushes from the new top alone; the oracle
-    # rechecks the whole stack content every time
-    for sigma, tau in PAIRS:
+    # rechecks the whole stack content every time.  The extra sets reach
+    # the length-2, the longer and the mixed-length branches of the test.
+    extra = [(P("12"),), (P("21"),), (P("1324"),), (P("231"), P("1324"))]
+    for patterns in PAIRS + extra:
         for n in range(7):
             for x in all_perms(n):
-                fast = pattern_stack_pass(x, PatternSet.of(sigma, tau))
-                slow = oracles.stack_pass(x.entries, classical=(sigma.entries, tau.entries))
-                assert fast.entries == slow, (x, sigma, tau)
+                fast = pattern_stack_pass(x, PatternSet.of(*patterns))
+                slow = oracles.stack_pass(x.entries, classical=[p.entries for p in patterns])
+                assert fast.entries == slow, (x, patterns)
 
 
 def test_star_pass_against_naive_engine():

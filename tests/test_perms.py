@@ -167,12 +167,13 @@ def test_avoiders_counts_catalan():
 
 
 THREE = ("123", "132", "213", "231", "312", "321")
-#: every classical pattern of length 2 and 3, every pair of 3-patterns, and
-#: one 4-pattern for the generic branch of the last-entry test
+#: every classical pattern of length 2 and 3, every pair of 3-patterns, one
+#: 4-pattern for the generic branch of the new-entry test, and the 4-pattern
+#: compiled together with a 3-pattern
 AVOIDER_SETS = (
     [(p,) for p in ("12", "21") + THREE]
     + list(combinations(THREE, 2))
-    + [("1324",)]
+    + [("1324",), ("231", "1324")]
 )
 
 
