@@ -22,8 +22,8 @@ import sys
 import traceback
 from pathlib import Path
 
-# count_dyck_avoiding is not called here (dyck --n counts both totals in one
-# dyck_paths pass), but perfbench/spans.py wraps it by name in this module.
+# dyck_paths is not called here (dyck --n counts with count_dyck_avoiding and
+# catalan), but perfbench/spans.py wraps it by name in this module.
 from .dyck import (
     FACTOR_DUDU,
     contains_factor,
@@ -268,10 +268,8 @@ def _cmd_dyck(args: argparse.Namespace) -> int:
         )
         return 0
     n = args.n
-    total = avoiding = 0
-    for path in dyck_paths(n):
-        total += 1
-        avoiding += not contains_factor(path, FACTOR_DUDU)
+    avoiding = count_dyck_avoiding(n, FACTOR_DUDU)  # refuses n outside 0..cap first
+    total = catalan(n)[n]
     if args.format == "json":
         _emit_json({"n": n, "paths": total, "avoiding_dudu": avoiding})
         return 0

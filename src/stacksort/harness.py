@@ -22,7 +22,6 @@ import json
 import os
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -209,6 +208,10 @@ def _enumerate(
     if workers <= 1:
         parts = [_scan_block(block) for block in blocks]
     else:
+        # imported only here: the pool loads multiprocessing and logging, which
+        # would otherwise slow the start of every CLI process
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
             parts = list(pool.map(_scan_block, blocks))
 
@@ -523,7 +526,8 @@ def verify_dyck(n_max: int = 7) -> SuiteReport:
         images = [rotem_map(x) for x in av]
         if len({str(p) for p in images}) != len(av):
             bijection.append(f"n={n}: map is not injective")
-        if {str(p) for p in images} != {str(p) for p in dyck_paths(n)}:
+        paths = list(dyck_paths(n))
+        if {str(p) for p in images} != {str(p) for p in paths}:
             bijection.append(f"n={n}: image misses some paths")
         for x, path in zip(av, images):
             starred = contains_bivincular(x, STAR_132)
@@ -531,13 +535,15 @@ def verify_dyck(n_max: int = 7) -> SuiteReport:
                 capacity.append(f"n={n}: {x}")
             if contains_factor(path, FACTOR_DUDU) != starred:
                 factor.append(f"n={n}: {x} -> {path}")
-        path_count = count_dyck_avoiding(n, FACTOR_DUDU)
+        scanned = sum(not contains_factor(p, FACTOR_DUDU) for p in paths)
+        automaton = count_dyck_avoiding(n, FACTOR_DUDU)
         avoider_count = sum(
             1 for _ in avoiders(n, PatternSet.of(PATTERN_123, STAR_132))
         )
-        if not (path_count == avoider_count == g[n]):
+        if not (scanned == automaton == avoider_count == g[n]):
             counts.append(
-                f"n={n}: paths {path_count}, avoiders {avoider_count}, recurrence {g[n]}"
+                f"n={n}: path scan {scanned}, automaton {automaton}, "
+                f"avoiders {avoider_count}, recurrence {g[n]}"
             )
     return SuiteReport(
         "dyck",

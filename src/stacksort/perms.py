@@ -156,15 +156,6 @@ def ltr_minima(x: Permutation) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def shift(x: Permutation, k: int) -> tuple[int, ...]:
-    """Add k to every entry; the result is a word, not a permutation.
-
-    >>> shift(parse_permutation("5 2 4 6 1 3"), 3)
-    (8, 5, 7, 9, 4, 6)
-    """
-    return tuple(v + k for v in x.entries)
-
-
 def smallest_k(x: Permutation, k: int) -> Permutation:
     """The subsequence of x holding the values 1..k, in place order.
 

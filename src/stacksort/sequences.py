@@ -10,6 +10,7 @@ in fixed-width integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 INT128_MAX = 2**127 - 1
@@ -160,6 +161,7 @@ def _schroder_brute(k: int) -> int:
     """Paths (0,0) -> (2k,0) with steps (1,1), (1,-1), (2,0), never below
     the axis, counted directly.  Oracle for the recurrence below."""
 
+    @lru_cache(maxsize=None)
     def walk(remaining: int, height: int) -> int:
         if remaining == 0:
             return 1 if height == 0 else 0

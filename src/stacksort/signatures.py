@@ -1,4 +1,4 @@
-"""Active sites, signatures, and the signature-matching bijection.
+"""Active sites, signatures, and West's signature bijection.
 
 Inserting a new maximum into a permutation can be done at any of the n+1
 gaps (sites).  A site is *active* with respect to a forbidden pattern when
@@ -7,13 +7,21 @@ active sites while peeling maxima off one at a time yields the signature,
 and West's observation is that avoiders of 123 and avoiders of 132 are
 matched one-to-one by having equal signatures.
 
-The bijection here is realized by exhaustive signature matching over the
-generated avoider lists rather than by a succession rule.  Signatures of a
-whole avoider class are built level by level: removing the maximum of an
-avoider leaves an avoider one shorter whose signature is the tail of the
-longer one's, so each avoider costs one active-site count on top of the
-class one shorter.  The lookup index is built once per (length, pattern)
-from those signatures and still certifies uniqueness as it goes.
+The matching is decoded on the generating tree of the target class (J. West,
+"Generating trees and the Catalan and Schroder numbers", 1995).  Each avoider
+of length k comes from one avoider of length k-1 by inserting its maximum at
+an active site, and the child's active-site count is the next signature entry
+read from the right.  So ``avoider_with_signature`` walks down from the empty
+permutation and takes, at each level, the one child whose count matches; no
+match raises NoMatch and two raise DuplicateSignature, which makes every
+answer a certificate that it exists and is unique.
+
+Signatures of a whole avoider class are built level by level: removing the
+maximum of an avoider leaves an avoider one shorter whose signature is the
+tail of the longer one's, so each avoider costs one active-site count on top
+of the class one shorter.  Those signatures and the signature -> avoider
+index built from them are the exhaustive certificates the west suite and
+the tests check the decoder against.
 """
 
 from __future__ import annotations
@@ -23,14 +31,17 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .perms import (
+    DEFAULT_GENERATION_CAP,
     PATTERN_123,
     PATTERN_132,
+    LengthTooLarge,
     Permutation,
     PatternSet,
     avoiders,
     contains_classical,
     insert_max_at,
     smallest_k,
+    _word_contains,
 )
 
 #: The only source/target pairs the matching is defined (and proven) for.
@@ -42,11 +53,11 @@ class SourceNotAvoider(ValueError):
 
 
 class NoMatch(LookupError):
-    """No target avoider shares the signature.  Signals a bug, not bad input."""
+    """No target avoider has the signature.  From west_map it signals a bug."""
 
 
 class DuplicateSignature(ValueError):
-    """Two avoiders of the same pattern share a signature.  Also a bug."""
+    """Two avoiders of the same pattern share a signature.  For 123 or 132, a bug."""
 
 
 def active_sites(x: Permutation, y: Permutation) -> frozenset[int]:
@@ -62,10 +73,11 @@ def active_sites(x: Permutation, y: Permutation) -> frozenset[int]:
     >>> sorted(active_sites(Permutation((1,)), PATTERN_123))
     [1, 2]
     """
+    word, top = x.entries, len(x) + 1
     return frozenset(
         site
-        for site in range(1, len(x) + 2)
-        if not contains_classical(insert_max_at(x, site), y)
+        for site in range(1, top + 1)
+        if not _word_contains(word[: site - 1] + (top,) + word[site - 1 :], y.entries)
     )
 
 
@@ -176,6 +188,50 @@ def _signature_index(n: int, target: Permutation) -> Mapping[tuple[int, ...], Pe
     return MappingProxyType(index)
 
 
+@lru_cache(maxsize=None)
+def _children(y: Permutation, target: Permutation) -> tuple[tuple[int, Permutation], ...]:
+    """(active-site count, child) for each child of y in the generating tree
+    of Av(target): y with a new maximum at one of its active sites, in site order.
+    """
+    return tuple(
+        (len(active_sites(child, target)), child)
+        for child in (insert_max_at(y, site) for site in sorted(active_sites(y, target)))
+    )
+
+
+def avoider_with_signature(sig: tuple[int, ...], target: Permutation) -> Permutation:
+    """The target-avoider with signature sig, decoded on the generating tree.
+
+    A child's signature is its active-site count followed by its parent's
+    signature, so every avoider with signature sig descends through the
+    children whose counts read sig from the right.  The walk takes the one
+    such child per level: NoMatch when there is none, DuplicateSignature when
+    two share the count.
+
+    >>> str(avoider_with_signature((4, 4, 3, 3, 2), PATTERN_123))
+    '4 2 1 5 3'
+    >>> str(avoider_with_signature((), PATTERN_132))
+    ''
+    """
+    n = len(sig)
+    if n > DEFAULT_GENERATION_CAP:
+        raise LengthTooLarge(f"n={n} above the generation cap {DEFAULT_GENERATION_CAP}")
+    y = Permutation(())
+    for k in range(n - 1, -1, -1):
+        found = [child for count, child in _children(y, target) if count == sig[k]]
+        if not found:
+            raise NoMatch(
+                f"no {target}-avoider of length {n} has signature {format_signature(sig)}"
+            )
+        if len(found) > 1:
+            raise DuplicateSignature(
+                f"{found[0]} and {found[1]} share the {target} signature "
+                f"{format_signature(sig[k:])}"
+            )
+        y = found[0]
+    return y
+
+
 def west_map(x: Permutation, source: Permutation, target: Permutation) -> Permutation:
     """The unique target-avoider whose signature matches that of x.
 
@@ -194,10 +250,4 @@ def west_map(x: Permutation, source: Permutation, target: Permutation) -> Permut
         raise ValueError("matching is defined between 132-avoiders and 123-avoiders only")
     if contains_classical(x, source):
         raise SourceNotAvoider(f"{x} contains {source}")
-    sig = signature(x, source)
-    image = _signature_index(len(x), target).get(sig)
-    if image is None:
-        raise NoMatch(
-            f"no {target}-avoider of length {len(x)} has signature {format_signature(sig)}"
-        )
-    return image
+    return avoider_with_signature(signature(x, source), target)

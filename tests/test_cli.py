@@ -193,6 +193,15 @@ def test_west_map_rejects_bad_direction(capsys):
     assert "error:" in err
 
 
+def test_west_map_refuses_past_the_generation_cap(capsys):
+    perm = " ".join(str(v) for v in range(13, 0, -1))
+    for sigma, tau in (("132", "123"), ("123", "132")):
+        code, out, err = invoke(
+            capsys, "west-map", "--perm", perm, "--sigma", sigma, "--tau", tau
+        )
+        assert (code, out, err) == (2, "", "error: n=13 above the generation cap 12\n")
+
+
 def test_dyck_perm_golden(capsys):
     code, out, _ = invoke(
         capsys, "dyck", "--perm", "8 11 6 10 4 9 7 5 3 1 2"
@@ -208,6 +217,11 @@ def test_dyck_count_mode(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"n": 6, "paths": 132, "avoiding_dudu": 72}
+    code, out, err = invoke(capsys, "dyck", "--n", "15")
+    assert (code, out, err) == (2, "", "error: semilength 15 above the cap 14\n")
+    code, out, err = invoke(capsys, "dyck", "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_dyck_modes_are_exclusive(capsys):

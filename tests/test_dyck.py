@@ -124,9 +124,13 @@ def test_dyck_paths_generation():
 
 
 def test_count_avoiding_matches_filter():
-    for n in range(8):
-        want = sum(1 for w in oracles.dyck_words(n) if "dudu" not in w)
-        assert count_dyck_avoiding(n, FACTOR_DUDU) == want
+    # self-overlapping factors exercise the automaton's fallback states
+    factors = (FACTOR_DUDU, "udu", "ud", "uu", "dd", "uudd", "dudd", "")
+    for n in range(11):
+        words = list(oracles.dyck_words(n))
+        for w in factors:
+            want = sum(1 for word in words if w not in word)
+            assert count_dyck_avoiding(n, w) == want, (n, w)
 
 
 def test_generation_cap():

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import permutations as iter_perms
 
 import pytest
@@ -5,8 +6,12 @@ import pytest
 import oracles
 from stacksort.perms import STAR_123, STAR_132, PatternSet, Permutation, avoiders
 from stacksort.signatures import (
+    DuplicateSignature,
+    NoMatch,
     SourceNotAvoider,
+    _signature_index,
     active_sites,
+    avoider_with_signature,
     format_signature,
     has_plateau,
     parse_signature,
@@ -58,17 +63,38 @@ def test_direction_validation():
         west_map(P("123"), P123, P132)
 
 
-def test_every_avoider_has_a_partner():
+def test_every_avoider_has_a_partner(monkeypatch):
+    # the oracle's signature peels maxima off one at a time, so every
+    # shorter avoider's site set is asked for again and again; remember them
+    monkeypatch.setattr(oracles, "active_sites", lru_cache(maxsize=None)(oracles.active_sites))
     # the signature map is a bijection between the two avoidance classes,
-    # and mapping there and back is the identity
-    for n in range(1, 8):
-        seen = set()
-        for x in avoiders(n, [P132]):
-            y = west_map(x, P132, P123)
-            assert signature(y, P123) == signature(x, P132)
-            assert west_map(y, P123, P132) == x
-            seen.add(y)
-        assert len(seen) == oracles.catalan(n)
+    # and mapping there and back is the identity, since both directions pick
+    # the partner with the same oracle signature.  The generating-tree
+    # decoder agrees with the exhaustive index.
+    for n in range(9):
+        oracle = {
+            t: {x: oracles.signature(x.entries, t.entries) for x in avoiders(n, [t])}
+            for t in (P123, P132)
+        }
+        for source, target in ((P132, P123), (P123, P132)):
+            owner = {sig: y for y, sig in oracle[target].items()}
+            assert len(owner) == oracles.catalan(n)
+            for x, sig in oracle[source].items():
+                y = west_map(x, source, target)
+                assert y == owner[sig] == _signature_index(n, target)[sig]
+                assert avoider_with_signature(sig, target) == y
+
+
+def test_decoder_refuses_what_no_single_avoider_has():
+    with pytest.raises(NoMatch):
+        avoider_with_signature((5, 2), P123)
+    with pytest.raises(NoMatch):
+        avoider_with_signature((1,), P132)
+    # 12 and 21 both leave three sites free for a new maximum under 1234
+    with pytest.raises(DuplicateSignature):
+        _signature_index(2, P("1234"))
+    with pytest.raises(DuplicateSignature):
+        avoider_with_signature((3, 2), P("1234"))
 
 
 def test_signature_index_is_total_and_injective():
@@ -76,8 +102,6 @@ def test_signature_index_is_total_and_injective():
     # its mere construction certifies injectivity; totality is the count.
     # Its signatures come from the class one shorter, so compare the whole
     # table with signatures recomputed from scratch.
-    from stacksort.signatures import _signature_index
-
     for n in range(8):
         for target in (P123, P132):
             index = _signature_index(n, target)
