@@ -8,110 +8,79 @@ pattern classes (signatures, west_map, the staircase encoding of
 sequences and their generating function).  Everything is exact integer
 work; the verification suites in ``harness`` recheck the structural
 claims by brute force at small lengths.
+
+The public names below resolve lazily (PEP 562): ``import stacksort``
+loads no layer, and the first use of a name loads only the module that
+defines it.  So ``from stacksort import Permutation`` loads ``perms``
+alone, while ``stacksort.run_suites`` loads ``harness`` and, through its
+imports, every other layer.  The command line follows the same rule per
+subcommand; the ``cli`` docstring lists the layers each one loads.
 """
 
-from .perms import (
-    BivincularPattern,
-    PatternSet,
-    Permutation,
-    STAR_123,
-    STAR_132,
-    avoiders,
-    contains_bivincular,
-    contains_classical,
-    format_permutation,
-    parse_permutation,
-)
-from .machine import (
-    StackStep,
-    StackTrace,
-    is_sortable,
-    machine,
-    pattern_stack_pass,
-    validate_trace,
-    west_pass,
-)
-from .signatures import active_sites, format_signature, has_plateau, signature, west_map
-from .dyck import (
-    BSequence,
-    DyckPath,
-    GridDecomposition,
-    cell_capacity_ok,
-    contains_factor,
-    count_dyck_avoiding,
-    dyck_paths,
-    grid_cells,
-    rotem_b_sequence,
-    rotem_map,
-)
-from .sequences import (
-    SequenceTable,
-    catalan,
-    f_sequence,
-    g_sequence,
-    gf_coefficients,
-    schroder_large,
-    sort_123_321_closed,
-)
-from .harness import (
-    EnumerationResult,
-    SuiteReport,
-    VerificationReport,
-    conjecture_tables,
-    enumerate_cached,
-    enumerate_single_machine,
-    enumerate_sortable,
-    run_suites,
-)
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivincularPattern",
-    "BSequence",
-    "DyckPath",
-    "EnumerationResult",
-    "GridDecomposition",
-    "PatternSet",
-    "Permutation",
-    "STAR_123",
-    "STAR_132",
-    "SequenceTable",
-    "StackStep",
-    "StackTrace",
-    "SuiteReport",
-    "VerificationReport",
-    "active_sites",
-    "avoiders",
-    "catalan",
-    "cell_capacity_ok",
-    "conjecture_tables",
-    "contains_bivincular",
-    "contains_classical",
-    "contains_factor",
-    "count_dyck_avoiding",
-    "dyck_paths",
-    "enumerate_cached",
-    "enumerate_single_machine",
-    "enumerate_sortable",
-    "f_sequence",
-    "format_permutation",
-    "format_signature",
-    "g_sequence",
-    "gf_coefficients",
-    "grid_cells",
-    "has_plateau",
-    "is_sortable",
-    "machine",
-    "parse_permutation",
-    "pattern_stack_pass",
-    "rotem_b_sequence",
-    "rotem_map",
-    "run_suites",
-    "schroder_large",
-    "signature",
-    "sort_123_321_closed",
-    "validate_trace",
-    "west_map",
-    "west_pass",
-]
+#: Each public name, by the module that defines it.
+_EXPORTS = {
+    "perms": (
+        "BivincularPattern", "PatternSet", "Permutation", "STAR_123", "STAR_132",
+        "avoiders", "contains_bivincular", "contains_classical",
+        "format_permutation", "parse_permutation",
+    ),
+    "machine": (
+        "StackStep", "StackTrace", "is_sortable", "machine", "pattern_stack_pass",
+        "validate_trace", "west_pass",
+    ),
+    "signatures": ("active_sites", "format_signature", "has_plateau", "signature", "west_map"),
+    "dyck": (
+        "BSequence", "DyckPath", "GridDecomposition", "cell_capacity_ok",
+        "contains_factor", "count_dyck_avoiding", "dyck_paths", "grid_cells",
+        "rotem_b_sequence", "rotem_map",
+    ),
+    "sequences": (
+        "SequenceTable", "catalan", "f_sequence", "g_sequence", "gf_coefficients",
+        "schroder_large", "sort_123_321_closed",
+    ),
+    "harness": (
+        "EnumerationResult", "SuiteReport", "VerificationReport", "conjecture_tables",
+        "enumerate_cached", "enumerate_single_machine", "enumerate_sortable", "run_suites",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, not importlib.import_module: only loads that go through the
+    # import statement's machinery show up in python -X importtime
+    path = f"{__name__}.{_HOME[name]}"
+    __import__(path)
+    value = getattr(sys.modules[path], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))
+
+
+class _Package(types.ModuleType):
+    """Keeps the function ``machine`` ahead of the submodule of that name.
+
+    Loading a submodule binds it as an attribute of the package.  The
+    function ``machine`` shares its name with its module, so that binding
+    would hide the export once anything had loaded ``stacksort.machine``.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _HOME and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -6,6 +6,15 @@ counting sequences directly.  Data goes to stdout, diagnostics to stderr,
 and output bytes are deterministic: nothing here consults a clock, a
 random source, or unordered iteration.
 
+Importing this module loads only ``perms``.  Each subcommand then loads
+the layers it calls (COMMAND_LAYERS) and nothing else:
+
+    trace                         machine
+    signature, west-map           machine, signatures
+    dyck                          dyck, sequences
+    sequences                     sequences
+    enumerate, verify, conjecture harness (which loads every layer)
+
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (argparse's own convention), 3 on any other exception,
 which is a bug in the package and is reported as one "internal error:"
@@ -21,59 +30,86 @@ import json
 import sys
 import traceback
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-# dyck_paths is not called here (dyck --n counts with count_dyck_avoiding and
-# catalan), but perfbench/spans.py wraps it by name in this module.
-from .dyck import (
-    FACTOR_DUDU,
-    contains_factor,
-    count_dyck_avoiding,
-    dyck_paths,
-    rotem_b_sequence,
-    rotem_map,
-)
-from .machine import (
-    StackTrace,
-    machine_patterns,
-    pattern_name,
-    pattern_stack_pass,
-    west_pass,
-)
 from .perms import (
     STAR_123,
     STAR_132,
+    SUITE_CAPS,
     BivincularPattern,
+    LengthTooLarge,
     MalformedToken,
     Permutation,
     format_permutation,
     parse_permutation,
 )
-from .harness import (
-    SUITE_CAPS,
-    SUITES,
-    conjecture_tables,
-    enumerate_cached,
-    run_suites,
-)
-from .sequences import (
-    binomial_transform_catalan,
-    catalan,
-    f_sequence,
-    g_sequence,
-    gf_coefficients,
-    powers_2_shifted,
-    schroder_large,
-    sort_123_321_closed,
-    SequenceTable,
-)
-from .signatures import (
-    format_signature,
-    has_plateau,
-    signature,
-    west_map,
-)
+
+if TYPE_CHECKING:
+    from .machine import StackTrace
+
+#: The layer names the handlers call, by the module that defines them.
+#: run() binds a command's names as module globals before its handler runs,
+#: and attribute access (module __getattr__) binds them on demand.  Both use
+#: setdefault, so a value already set on this module, such as a test's
+#: monkeypatch or a tracing wrapper, is the one the handlers call.
+LAYER_NAMES = {
+    "machine": ("machine_patterns", "pattern_name", "pattern_stack_pass", "west_pass"),
+    "signatures": ("format_signature", "has_plateau", "signature", "west_map"),
+    # dyck_paths is not called here (dyck --n counts with count_dyck_avoiding
+    # and catalan), but perfbench/spans.py wraps it by name in this module.
+    "dyck": (
+        "FACTOR_DUDU", "contains_factor", "count_dyck_avoiding", "dyck_paths",
+        "rotem_b_sequence", "rotem_map",
+    ),
+    "sequences": (
+        "SequenceTable", "binomial_transform_catalan", "catalan", "f_sequence",
+        "g_sequence", "gf_coefficients", "powers_2_shifted", "schroder_large",
+        "sort_123_321_closed",
+    ),
+    "harness": ("SUITES", "conjecture_tables", "enumerate_cached", "run_suites"),
+}
+_HOME = {name: module for module, names in LAYER_NAMES.items() for name in names}
+
+#: The layers each subcommand calls into.
+COMMAND_LAYERS = {
+    "trace": ("machine",),
+    "signature": ("machine", "signatures"),
+    "west-map": ("machine", "signatures"),
+    "dyck": ("dyck", "sequences"),
+    "sequences": ("sequences",),
+    "enumerate": ("harness",),
+    "verify": ("harness",),
+    "conjecture": ("harness",),
+}
+
+
+def _load(layer: str) -> None:
+    # __import__, not importlib.import_module: only loads that go through the
+    # import statement's machinery show up in python -X importtime
+    path = f"{__package__}.{layer}"
+    __import__(path)
+    module = sys.modules[path]
+    for name in LAYER_NAMES[layer]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_HOME[name])
+    return globals()[name]
+
 
 FORMATS = ("text", "json", "csv")
+
+#: Longest --perm that trace, signature, west-map and dyck --perm accept.
+#: The slowest of them, signature of the decreasing permutation, takes about
+#: 1.5 s at length 100 and 18 s at length 200.
+PERM_LENGTH_LIMIT = 100
+
+#: Largest --n-max for sequences.  Every printed table fits in 128 bits up to
+#: here; the first term that does not is the large Schroder number S_54.
+SEQUENCES_N_MAX = 53
 
 #: Keyword tokens for the two bivincular patterns the machines care about.
 STAR_TOKENS = {"132-star": STAR_132, "123-star": STAR_123}
@@ -88,9 +124,12 @@ def _parse_pattern(token: str) -> Permutation | BivincularPattern:
 
 
 def _parse_perm(token: str) -> Permutation:
-    if token.isdigit():
-        return Permutation.from_digits(token)
-    return parse_permutation(token)
+    x = Permutation.from_digits(token) if token.isdigit() else parse_permutation(token)
+    if len(x) > PERM_LENGTH_LIMIT:
+        raise LengthTooLarge(
+            f"--perm has length {len(x)}, above the limit {PERM_LENGTH_LIMIT}"
+        )
+    return x
 
 
 def _classical_pattern(token: str, flag: str) -> Permutation:
@@ -297,6 +336,11 @@ def _sequence_tables(n_max: int) -> list[SequenceTable]:
 
 
 def _cmd_sequences(args: argparse.Namespace) -> int:
+    if not 0 <= args.n_max <= SEQUENCES_N_MAX:
+        raise ValueError(
+            f"sequences runs for n_max in 0..{SEQUENCES_N_MAX}, where every table"
+            f" fits in 128 bits; got {args.n_max}"
+        )
     tables = _sequence_tables(args.n_max)
     if args.format == "json":
         _emit_json({"tables": [t.to_json_dict() for t in tables]})
@@ -383,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run brute-force verification suites")
     p.add_argument(
         "--suite",
-        choices=sorted(SUITES) + ["all"],
+        choices=sorted(SUITE_CAPS) + ["all"],
         required=True,
     )
     p.add_argument(
@@ -440,6 +484,8 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for layer in COMMAND_LAYERS[args.command]:
+            _load(layer)
         return args.handler(args)
     except (ValueError, LookupError, OverflowError, ArithmeticError) as exc:
         _note(f"error: {exc}")

@@ -57,6 +57,7 @@ from .perms import (
     Permutation,
     STAR_123,
     STAR_132,
+    SUITE_CAPS,
     avoiders,
     contains_bivincular,
     contains_classical,
@@ -247,10 +248,6 @@ def enumerate_single_machine(
     return _enumerate(n, (sigma,), keep_witnesses, workers, cap)
 
 
-def _sortable_set(n: int, patterns: tuple[Permutation, ...], workers: int = 1) -> tuple[Permutation, ...]:
-    return _enumerate(n, patterns, True, workers, DEFAULT_GENERATION_CAP).witnesses
-
-
 # ---- reports -------------------------------------------------------------
 
 
@@ -329,17 +326,6 @@ def _claim(
     return VerificationReport(claim_id, (lo, hi), status, shown, detail)
 
 
-#: Largest n_max each suite accepts; also the default the CLI clamps to.
-SUITE_CAPS = {
-    "characterization": 9,
-    "west": 9,
-    "dyck": 9,
-    "structure": 10,
-    "tables": 9,
-    "conjecture": 11,
-}
-
-
 def _require_n_max(n_max: int, suite: str) -> None:
     cap = SUITE_CAPS[suite]
     if not 0 <= n_max <= cap:
@@ -357,7 +343,8 @@ def verify_characterization(n_max: int = 7, workers: int = 1) -> SuiteReport:
     set_bad: list[str] = []
     count_bad: list[str] = []
     for n in range(n_max + 1):
-        sortable = set(_sortable_set(n, (PATTERN_132, PATTERN_321), workers))
+        scan = _enumerate(n, (PATTERN_132, PATTERN_321), True, workers, DEFAULT_GENERATION_CAP)
+        sortable = set(scan.witnesses)
         avoiding = set(avoiders(n, PatternSet.of(PATTERN_123, STAR_132)))
         for x in sorted(sortable ^ avoiding, key=lambda p: p.entries):
             side = "sortable only" if x in sortable else "avoider only"
@@ -390,9 +377,10 @@ def _west_golden_claim() -> VerificationReport:
     return _claim("golden-pair-45231-42153", 5, 5, bad)
 
 
-def verify_west(n_max: int = 7) -> SuiteReport:
+def verify_west(n_max: int = 7, workers: int = 1) -> SuiteReport:
     """Signature injectivity, the signature-matching bijection, the plateau
-    criteria, and the structural facts feeding them."""
+    criteria, and the structural facts feeding them.  Scans no S_n, so
+    ``workers`` is accepted like every suite's and ignored."""
     _require_n_max(n_max, "west")
     inj123: list[str] = []
     inj132: list[str] = []
@@ -512,9 +500,10 @@ def _dyck_golden_claim() -> VerificationReport:
     return _claim("golden-grid-and-path", 11, 11, bad)
 
 
-def verify_dyck(n_max: int = 7) -> SuiteReport:
+def verify_dyck(n_max: int = 7, workers: int = 1) -> SuiteReport:
     """The staircase map bijects 123-avoiders onto Dyck paths and turns the
-    adjacent-middle 132 into a dudu factor; counts close the triangle."""
+    adjacent-middle 132 into a dudu factor; counts close the triangle.
+    Scans no S_n, so ``workers`` is accepted like every suite's and ignored."""
     _require_n_max(n_max, "dyck")
     g = g_sequence(n_max)
     bijection: list[str] = []
@@ -573,7 +562,7 @@ def verify_sortable_structure(n_max: int = 8, workers: int = 1) -> SuiteReport:
     machine_pair = (PATTERN_123, PATTERN_321)
 
     for n in range(1, n_max + 1):
-        sortable = _sortable_set(n, machine_pair, workers)
+        sortable = _enumerate(n, machine_pair, True, workers, DEFAULT_GENERATION_CAP).witnesses
         if len(sortable) != sort_123_321_closed(n):
             counts.append(
                 f"n={n}: counted {len(sortable)}, closed form {sort_123_321_closed(n)}"
@@ -753,7 +742,7 @@ class DistributionTable:
 
 
 def _distribution(n: int, patterns: tuple[Permutation, ...], workers: int) -> DistributionTable:
-    members = _sortable_set(n, patterns, workers)
+    members = _enumerate(n, patterns, True, workers, DEFAULT_GENERATION_CAP).witnesses
     first: dict[int, int] = {}
     max_pos: dict[int, int] = {}
     for x in members:
@@ -836,8 +825,8 @@ def verify_conjecture(n_max: int = 8, workers: int = 1) -> SuiteReport:
 
 SUITES = {
     "characterization": verify_characterization,
-    "west": lambda n_max, workers=1: verify_west(n_max),
-    "dyck": lambda n_max, workers=1: verify_dyck(n_max),
+    "west": verify_west,
+    "dyck": verify_dyck,
     "structure": verify_sortable_structure,
     "tables": verify_tables,
     "conjecture": verify_conjecture,

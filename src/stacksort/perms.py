@@ -18,6 +18,18 @@ from typing import Iterable, Iterator, Sequence
 
 DEFAULT_GENERATION_CAP = 12
 
+#: Largest n_max each verification suite in ``harness.SUITES`` accepts; also
+#: the default the CLI clamps to.  Kept with the other length caps so the CLI
+#: parser can list them without loading the harness.
+SUITE_CAPS = {
+    "characterization": 9,
+    "west": 9,
+    "dyck": 9,
+    "structure": 10,
+    "tables": 9,
+    "conjecture": 11,
+}
+
 
 class MalformedToken(ValueError):
     """A token in a permutation string is not a positive integer."""

@@ -1,9 +1,19 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stacksort
 from stacksort import cli, harness
 from stacksort.cli import build_parser, run
+from stacksort.perms import SUITE_CAPS, Permutation
+from stacksort.sequences import Overflow, schroder_large
+
+SRC = Path(stacksort.__file__).resolve().parents[1]
 
 
 def invoke(capsys, *argv):
@@ -230,6 +240,21 @@ def test_dyck_modes_are_exclusive(capsys):
     assert exc.value.code == 2
 
 
+def test_sequences_refuses_n_max_past_the_128_bit_tables(capsys):
+    code, out, err = invoke(capsys, "sequences", "--n-max", "53")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].startswith("g (from n=0): 1 1 2 ")
+    with pytest.raises(Overflow, match="S_54"):
+        schroder_large(54)
+    for n_max in ("54", "60", "-1"):
+        code, out, err = invoke(capsys, "sequences", "--n-max", n_max)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: sequences runs for n_max in 0..53, where every table fits"
+            f" in 128 bits; got {n_max}\n"
+        )
+
+
 def test_sequences_csv(capsys):
     code, out, _ = invoke(capsys, "sequences", "--n-max", "4", "--format", "csv")
     assert code == 0
@@ -279,6 +304,118 @@ def test_bad_permutation_is_a_usage_error(capsys):
     assert "error:" in err
 
 
+def test_per_permutation_commands_refuse_perms_past_the_length_limit(capsys):
+    over = ",".join(str(v) for v in range(cli.PERM_LENGTH_LIMIT + 1, 0, -1))
+    for argv in (
+        ["trace", "--sigma", "132", "--tau", "321"],
+        ["signature", "--sigma", "132"],
+        ["west-map", "--sigma", "132", "--tau", "123"],
+        ["dyck"],
+    ):
+        code, out, err = invoke(capsys, *argv, "--perm", over)
+        assert (code, out) == (2, "")
+        assert err == "error: --perm has length 101, above the limit 100\n"
+    at_limit = ",".join(str(v) for v in range(1, cli.PERM_LENGTH_LIMIT + 1))
+    code, out, _ = invoke(
+        capsys, "trace", "--sigma", "132", "--tau", "321", "--perm", at_limit
+    )
+    assert code == 0
+    assert out.rstrip().endswith("sorted: no")  # the identity contains 123
+
+
+def _loaded_modules(code: str) -> set[str]:
+    """The stacksort modules a fresh interpreter holds after running code."""
+    script = (
+        "import sys\n" + code + "\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('stacksort')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_only_perms():
+    assert _loaded_modules("import stacksort.cli") == {
+        "stacksort", "stacksort.cli", "stacksort.perms",
+    }
+
+
+EVERY_LAYER = ("machine", "signatures", "dyck", "sequences", "harness")
+LAYERS_RUN = {
+    ("trace", "--sigma", "132", "--tau", "321", "--perm", "4213"): ("machine",),
+    ("signature", "--perm", "45231", "--sigma", "132"): ("machine", "signatures"),
+    ("west-map", "--perm", "45231", "--sigma", "132", "--tau", "123"):
+        ("machine", "signatures"),
+    ("dyck", "--perm", "4213"): ("dyck", "sequences"),
+    ("dyck", "--n", "4"): ("dyck", "sequences"),
+    ("sequences", "--n-max", "4"): ("sequences",),
+    ("enumerate", "--sigma", "132", "--n", "3", "--cache-dir", "{tmp}"): EVERY_LAYER,
+    ("verify", "--suite", "dyck", "--n-max", "2"): EVERY_LAYER,
+    ("conjecture", "--n", "2"): EVERY_LAYER,
+}
+
+
+@pytest.mark.parametrize("argv,layers", LAYERS_RUN.items(), ids=lambda v: " ".join(v))
+def test_each_subcommand_loads_only_the_layers_it_runs(argv, layers, tmp_path):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    loaded = _loaded_modules(
+        "import contextlib, io\n"
+        "from stacksort.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert run({argv!r}) == 0"
+    )
+    assert loaded == {"stacksort", "stacksort.cli", "stacksort.perms"} | {
+        f"stacksort.{layer}" for layer in layers
+    }
+    assert set(cli.COMMAND_LAYERS[argv[0]]) <= set(layers)
+
+
+def test_every_exported_name_resolves_to_its_definition():
+    for layer, names in stacksort._EXPORTS.items():
+        module = importlib.import_module(f"stacksort.{layer}")
+        for name in names:
+            assert getattr(stacksort, name) is getattr(module, name), name
+    assert set(stacksort.__all__) <= set(dir(stacksort))
+    namespace = {}
+    exec("from stacksort import *", namespace)
+    assert set(stacksort.__all__) <= set(namespace)
+    assert namespace["machine"] is importlib.import_module("stacksort.machine").machine
+    for layer, names in cli.LAYER_NAMES.items():
+        module = importlib.import_module(f"stacksort.{layer}")
+        for name in names:
+            assert getattr(cli, name) is getattr(module, name), name
+    with pytest.raises(AttributeError):
+        stacksort.no_such_name
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+def test_a_value_set_on_the_cli_module_is_the_one_its_handler_calls(
+    capsys, monkeypatch
+):
+    calls = []
+    real = cli.signature
+
+    def recording(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(cli, "signature", recording)
+    code, out, _ = invoke(capsys, "signature", "--perm", "45231", "--sigma", "132")
+    assert (code, out.splitlines()[0]) == (0, "4.4.3.3.2")
+    assert calls == [(Permutation.from_digits("45231"), Permutation.from_digits("132"))]
+
+
+def test_suite_caps_name_every_suite():
+    assert set(harness.SUITES) == set(SUITE_CAPS)
+    assert harness.SUITE_CAPS is SUITE_CAPS
+    assert harness.SUITES["west"] is harness.verify_west
+    assert harness.SUITES["dyck"] is harness.verify_dyck
+
+
 def test_parser_covers_all_subcommands():
     parser = build_parser()
     actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
@@ -287,3 +424,4 @@ def test_parser_covers_all_subcommands():
         "trace", "enumerate", "verify", "signature",
         "west-map", "dyck", "sequences", "conjecture",
     }
+    assert set(cli.COMMAND_LAYERS) == subcommands
