@@ -2,18 +2,18 @@
 
 The package answers three kinds of questions about the (sigma, tau)
 machine: which permutations it sorts (machine, is_sortable, the
-enumeration harness), how the sortable sets biject onto classical
-pattern classes (signatures, west_map, the staircase encoding of
-123-avoiders as Dyck paths), and how many there are (the counting
+enumeration engine in ``harness``), how the sortable sets biject onto
+classical pattern classes (signatures, west_map, the staircase encoding
+of 123-avoiders as Dyck paths), and how many there are (the counting
 sequences and their generating function).  Everything is exact integer
-work; the verification suites in ``harness`` recheck the structural
+work; the verification suites in ``suites`` recheck the structural
 claims by brute force at small lengths.
 
 The public names below resolve lazily (PEP 562): ``import stacksort``
 loads no layer, and the first use of a name loads only the module that
 defines it.  So ``from stacksort import Permutation`` loads ``perms``
-alone, while ``stacksort.run_suites`` loads ``harness`` and, through its
-imports, every other layer.  The command line follows the same rule per
+alone, and ``stacksort.run_suites`` loads ``harness``; running a suite
+then loads ``suites`` and, through its imports, every other layer.  The command line follows the same rule per
 subcommand; the ``cli`` docstring lists the layers each one loads.
 """
 

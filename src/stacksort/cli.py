@@ -13,7 +13,12 @@ the layers it calls (COMMAND_LAYERS) and nothing else:
     signature, west-map           machine, signatures
     dyck                          dyck, sequences
     sequences                     sequences
-    enumerate, verify, conjecture harness (which loads every layer)
+    enumerate (cache hit)         harness
+    enumerate (scan), conjecture  harness, machine
+    verify                        harness, suites (which load every layer)
+
+Modules that only one branch needs, such as ``csv`` for ``--format csv``
+and ``traceback`` for an internal error, are imported in that branch.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (argparse's own convention), 3 on any other exception,
@@ -24,11 +29,8 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-import traceback
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -42,6 +44,7 @@ from .perms import (
     Permutation,
     format_permutation,
     parse_permutation,
+    pattern_name,
 )
 
 if TYPE_CHECKING:
@@ -53,7 +56,7 @@ if TYPE_CHECKING:
 #: setdefault, so a value already set on this module, such as a test's
 #: monkeypatch or a tracing wrapper, is the one the handlers call.
 LAYER_NAMES = {
-    "machine": ("machine_patterns", "pattern_name", "pattern_stack_pass", "west_pass"),
+    "machine": ("machine_patterns", "pattern_stack_pass", "west_pass"),
     "signatures": ("format_signature", "has_plateau", "signature", "west_map"),
     # dyck_paths is not called here (dyck --n counts with count_dyck_avoiding
     # and catalan), but perfbench/spans.py wraps it by name in this module.
@@ -66,7 +69,7 @@ LAYER_NAMES = {
         "g_sequence", "gf_coefficients", "powers_2_shifted", "schroder_large",
         "sort_123_321_closed",
     ),
-    "harness": ("SUITES", "conjecture_tables", "enumerate_cached", "run_suites"),
+    "harness": ("conjecture_tables", "enumerate_cached", "run_suites"),
 }
 _HOME = {name: module for module, names in LAYER_NAMES.items() for name in names}
 
@@ -210,6 +213,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(result.to_json_dict())
     elif args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["machine", "n", "count"])
@@ -221,7 +227,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    names = list(SUITE_CAPS) if args.suite == "all" else [args.suite]
     reports = run_suites(names, args.n_max, workers=args.workers)
     passed = all(r.passed for r in reports)
     if args.format == "json":
@@ -346,6 +352,9 @@ def _cmd_sequences(args: argparse.Namespace) -> int:
         _emit_json({"tables": [t.to_json_dict() for t in tables]})
         return 0
     if args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["table", "n", "value"])
@@ -491,6 +500,8 @@ def run(argv: list[str] | None = None) -> int:
         _note(f"error: {exc}")
         return 2
     except Exception as exc:
+        import traceback
+
         where = traceback.extract_tb(exc.__traceback__)[-1]
         _note(
             f"internal error: {type(exc).__name__}: {exc} "

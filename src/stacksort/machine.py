@@ -36,6 +36,7 @@ from .perms import (
     _ends_at,
     _word_contains,
     _word_contains_bivincular,
+    pattern_name,
 )
 
 
@@ -95,22 +96,6 @@ class StackTrace:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
-
-
-def pattern_name(p: Permutation | BivincularPattern) -> str:
-    """Short stable name for a pattern, used in labels and serialized output."""
-    if isinstance(p, BivincularPattern):
-        base = "".join(str(v) for v in p.base.entries)
-        if (
-            len(p.base) == 3
-            and p.adjacent_positions == frozenset({2})
-            and p.adjacent_values == frozenset({2})
-        ):
-            return f"{base}-star"
-        pos = ",".join(str(i) for i in sorted(p.adjacent_positions))
-        val = ",".join(str(v) for v in sorted(p.adjacent_values))
-        return f"{base}|pos:{pos}|val:{val}"
-    return "".join(str(v) for v in p.entries)
 
 
 def pattern_set_names(patterns: PatternSet) -> list[str]:

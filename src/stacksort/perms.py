@@ -18,9 +18,10 @@ from typing import Iterable, Iterator, Sequence
 
 DEFAULT_GENERATION_CAP = 12
 
-#: Largest n_max each verification suite in ``harness.SUITES`` accepts; also
-#: the default the CLI clamps to.  Kept with the other length caps so the CLI
-#: parser can list them without loading the harness.
+#: Largest n_max each verification suite in ``suites.SUITES`` accepts; also
+#: the default the CLI clamps to, in the order ``verify --suite all`` runs
+#: them.  Kept with the other length caps so the CLI parser can list them
+#: without loading the suites.
 SUITE_CAPS = {
     "characterization": 9,
     "west": 9,
@@ -298,6 +299,22 @@ class PatternSet:
 
     def is_empty(self) -> bool:
         return not self.classical and not self.bivincular
+
+
+def pattern_name(p: Permutation | BivincularPattern) -> str:
+    """Short stable name for a pattern, used in labels and serialized output."""
+    if isinstance(p, BivincularPattern):
+        base = "".join(str(v) for v in p.base.entries)
+        if (
+            len(p.base) == 3
+            and p.adjacent_positions == frozenset({2})
+            and p.adjacent_values == frozenset({2})
+        ):
+            return f"{base}-star"
+        pos = ",".join(str(i) for i in sorted(p.adjacent_positions))
+        val = ",".join(str(v) for v in sorted(p.adjacent_values))
+        return f"{base}|pos:{pos}|val:{val}"
+    return "".join(str(v) for v in p.entries)
 
 
 # ---- containment -------------------------------------------------------

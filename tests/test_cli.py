@@ -1,4 +1,7 @@
+import contextlib
 import importlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -8,12 +11,13 @@ from pathlib import Path
 import pytest
 
 import stacksort
-from stacksort import cli, harness
+from stacksort import cli, harness, suites
 from stacksort.cli import build_parser, run
 from stacksort.perms import SUITE_CAPS, Permutation
 from stacksort.sequences import Overflow, schroder_large
 
 SRC = Path(stacksort.__file__).resolve().parents[1]
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def invoke(capsys, *argv):
@@ -324,11 +328,8 @@ def test_per_permutation_commands_refuse_perms_past_the_length_limit(capsys):
 
 
 def _loaded_modules(code: str) -> set[str]:
-    """The stacksort modules a fresh interpreter holds after running code."""
-    script = (
-        "import sys\n" + code + "\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('stacksort')))"
-    )
+    """The modules a fresh interpreter holds after running code."""
+    script = "import sys\n" + code + "\nprint(' '.join(sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
@@ -336,13 +337,24 @@ def _loaded_modules(code: str) -> set[str]:
     return set(done.stdout.split())
 
 
+def _package_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m.startswith("stacksort")}
+
+
+@pytest.fixture(scope="module")
+def bare_interpreter_modules():
+    return _loaded_modules("pass")
+
+
 def test_importing_the_cli_loads_only_perms():
-    assert _loaded_modules("import stacksort.cli") == {
+    assert _package_modules(_loaded_modules("import stacksort.cli")) == {
         "stacksort", "stacksort.cli", "stacksort.perms",
     }
 
 
 EVERY_LAYER = ("machine", "signatures", "dyck", "sequences", "harness")
+#: The layers each command loads.  "{tmp}" is an empty cache directory and
+#: "{filled}" one that already holds the command's result.
 LAYERS_RUN = {
     ("trace", "--sigma", "132", "--tau", "321", "--perm", "4213"): ("machine",),
     ("signature", "--perm", "45231", "--sigma", "132"): ("machine", "signatures"),
@@ -351,15 +363,23 @@ LAYERS_RUN = {
     ("dyck", "--perm", "4213"): ("dyck", "sequences"),
     ("dyck", "--n", "4"): ("dyck", "sequences"),
     ("sequences", "--n-max", "4"): ("sequences",),
-    ("enumerate", "--sigma", "132", "--n", "3", "--cache-dir", "{tmp}"): EVERY_LAYER,
-    ("verify", "--suite", "dyck", "--n-max", "2"): EVERY_LAYER,
-    ("conjecture", "--n", "2"): EVERY_LAYER,
+    ("enumerate", "--sigma", "132", "--n", "3", "--cache-dir", "{tmp}"): ("machine", "harness"),
+    ("enumerate", "--sigma", "132", "--tau", "321", "--n", "5", "--cache-dir", "{filled}"):
+        ("harness",),
+    ("verify", "--suite", "dyck", "--n-max", "2"): EVERY_LAYER + ("suites",),
+    ("conjecture", "--n", "2"): ("machine", "harness"),
 }
 
 
 @pytest.mark.parametrize("argv,layers", LAYERS_RUN.items(), ids=lambda v: " ".join(v))
-def test_each_subcommand_loads_only_the_layers_it_runs(argv, layers, tmp_path):
-    argv = [a.format(tmp=tmp_path) for a in argv]
+def test_each_subcommand_loads_only_the_layers_it_runs(
+    argv, layers, tmp_path, bare_interpreter_modules
+):
+    prefill = "{filled}" in argv
+    argv = [a.format(tmp=tmp_path, filled=tmp_path) for a in argv]
+    if prefill:  # this run scans and stores the result the next one reads
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run(argv) == 0
     loaded = _loaded_modules(
         "import contextlib, io\n"
         "from stacksort.cli import run\n"
@@ -367,10 +387,12 @@ def test_each_subcommand_loads_only_the_layers_it_runs(argv, layers, tmp_path):
         "contextlib.redirect_stderr(io.StringIO()):\n"
         f"    assert run({argv!r}) == 0"
     )
-    assert loaded == {"stacksort", "stacksort.cli", "stacksort.perms"} | {
+    assert _package_modules(loaded) == {"stacksort", "stacksort.cli", "stacksort.perms"} | {
         f"stacksort.{layer}" for layer in layers
     }
     assert set(cli.COMMAND_LAYERS[argv[0]]) <= set(layers)
+    # text output needs no csv writer, and a run that succeeds no traceback
+    assert not {"csv", "traceback"} & (loaded - bare_interpreter_modules)
 
 
 def test_every_exported_name_resolves_to_its_definition():
@@ -410,10 +432,61 @@ def test_a_value_set_on_the_cli_module_is_the_one_its_handler_calls(
 
 
 def test_suite_caps_name_every_suite():
-    assert set(harness.SUITES) == set(SUITE_CAPS)
+    # verify --suite all runs the suites in the order of SUITE_CAPS
+    assert list(suites.SUITES) == list(SUITE_CAPS)
     assert harness.SUITE_CAPS is SUITE_CAPS
-    assert harness.SUITES["west"] is harness.verify_west
-    assert harness.SUITES["dyck"] is harness.verify_dyck
+    assert suites.SUITES["west"] is suites.verify_west
+    assert suites.SUITES["conjecture"] is harness.verify_conjecture
+    # the names that moved to suites still resolve on harness
+    assert harness.SUITES is suites.SUITES
+    assert harness.verify_dyck is suites.verify_dyck
+    with pytest.raises(AttributeError):
+        harness.no_such_name
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_entry_point_resolves_in_a_known_layer():
+    # perfbench/spans.py wraps these names for --trace 1 and names each span
+    # after the module that defines the function; its self times know only
+    # spans.LAYERS
+    spans = _load_spans()
+    for caller, names in spans.ENTRY_POINTS.items():
+        module = importlib.import_module(caller)
+        for name in names:
+            fn = getattr(module, name)
+            assert fn.__module__.rsplit(".", 1)[-1] in spans.LAYERS, (caller, name)
+
+
+def test_a_traced_verify_times_its_suite():
+    done = subprocess.run(
+        [sys.executable, str(SPANS), "op", "verify", "--suite", "west", "--n-max", "2"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+    )
+    doc = json.loads(done.stdout)
+    assert doc["exit"] == 0
+    assert "harness.suite.west" in {s["name"] for s in doc["spans"]}
+    _load_spans().self_times(doc["spans"])  # a span outside spans.LAYERS raises
+
+
+def test_a_claim_with_an_empty_range_is_skipped(capsys):
+    code, out, _ = invoke(capsys, "verify", "--suite", "west", "--n-max", "1")
+    assert code == 0
+    assert "  skip first-active-count-locates-max (n=2..1)\n" in out
+    assert out.startswith("suite west (n_max=1): all claims hold\n")
+    code, out, _ = invoke(
+        capsys, "verify", "--suite", "west", "--n-max", "1", "--format", "json"
+    )
+    (report,) = json.loads(out)["suites"]
+    status = {c["claim_id"]: c["status"] for c in report["claims"]}
+    assert status.pop("first-active-count-locates-max") == "skip"
+    assert set(status.values()) == {"pass"}
+    assert (code, report["passed"]) == (0, True)
 
 
 def test_parser_covers_all_subcommands():

@@ -5,7 +5,7 @@ import importlib
 
 import pytest
 
-# harness is all orchestration, its docs carry no runnable examples
+# harness and suites are all orchestration, their docs carry no runnable examples
 MODULES = {
     "stacksort.perms": True,
     "stacksort.machine": True,
@@ -13,6 +13,7 @@ MODULES = {
     "stacksort.dyck": True,
     "stacksort.sequences": True,
     "stacksort.harness": False,
+    "stacksort.suites": False,
 }
 
 

@@ -67,6 +67,17 @@ def test_result_json_round_trip():
 def test_report_status_consistency():
     with pytest.raises(ValueError):
         VerificationReport("claim", (1, 5), "pass", ("oops",), "")
+    with pytest.raises(ValueError):
+        VerificationReport("claim", (1, 5), "fail", (), "")
+    with pytest.raises(ValueError):
+        VerificationReport("claim", (2, 1), "skip", ("oops",), "")
+    with pytest.raises(ValueError):
+        VerificationReport("claim", (1, 5), "maybe", (), "")
+    skipped = VerificationReport("claim", (2, 1), "skip")
+    held = VerificationReport("claim", (1, 5), "pass")
+    failed = VerificationReport("claim", (1, 5), "fail", ("n=3: 132",))
+    assert SuiteReport("s", 1, (skipped, held)).passed
+    assert not SuiteReport("s", 1, (skipped, failed)).passed
 
 
 def test_report_rendering_shapes():
