@@ -20,8 +20,12 @@ the layers it calls (COMMAND_LAYERS) and nothing else:
 Modules that only one branch needs, such as ``csv`` for ``--format csv``
 and ``traceback`` for an internal error, are imported in that branch.
 
+Handlers format what the layers return and name no statistic: ``conjecture``
+prints each table's own ``render_text``.
+
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
-2 on usage errors (argparse's own convention), 3 on any other exception,
+2 on usage errors (argparse's own convention, which covers ``--workers``
+below 1) and on refused inputs, 3 on any other exception,
 which is a bug in the package and is reported as one "internal error:"
 line on stderr.
 """
@@ -371,21 +375,6 @@ def _cmd_sequences(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_distribution(table) -> list[str]:
-    label = "+".join(table.machine)
-    first = ", ".join(
-        f"{k}:{v}" for k, v in sorted(table.by_first_entry.items())
-    )
-    top = ", ".join(
-        f"{k}:{v}" for k, v in sorted(table.by_position_of_max.items())
-    )
-    return [
-        f"machine {label}, n={table.n}, total {table.total()}",
-        f"  by first entry:      {first or '-'}",
-        f"  by position of max:  {top or '-'}",
-    ]
-
-
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     table_a, table_b, report = conjecture_tables(args.n, workers=args.workers)
     if args.format == "json":
@@ -397,9 +386,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
             }
         )
     else:
-        lines = _render_distribution(table_a) + _render_distribution(table_b)
-        lines.append(report.render_text())
-        _emit("\n".join(lines))
+        _emit("\n".join(t.render_text() for t in (table_a, table_b, report)))
     return 0 if report.passed else 1
 
 
@@ -408,6 +395,13 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 
 def _add_format(p: argparse.ArgumentParser, choices=("text", "json")) -> None:
     p.add_argument("--format", choices=choices, default="text")
+
+
+class _AtLeastOne(argparse.Action):
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise argparse.ArgumentError(self, f"must be at least 1, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", default=None)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, action=_AtLeastOne)
     p.add_argument("--cache-dir", default=None)
     _add_format(p, FORMATS)
     p.set_defaults(handler=_cmd_enumerate)
@@ -445,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help=f"largest length to scan (clamped per suite, caps {dict(sorted(SUITE_CAPS.items()))})",
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, action=_AtLeastOne)
     _add_format(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -482,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         "conjecture", help="refined distribution tables for the open equinumerosity"
     )
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, action=_AtLeastOne)
     _add_format(p)
     p.set_defaults(handler=_cmd_conjecture)
 

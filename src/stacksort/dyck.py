@@ -238,7 +238,7 @@ def contains_factor(p: DyckPath, w: str) -> bool:
     return w in p.word
 
 
-def dyck_paths(n: int, cap: int = DEFAULT_SEMILENGTH_CAP) -> Iterator[DyckPath]:
+def dyck_paths(n: int) -> Iterator[DyckPath]:
     """All Dyck paths of semilength n, in lexicographic order with u < d.
 
     >>> [str(p) for p in dyck_paths(2)]
@@ -246,8 +246,8 @@ def dyck_paths(n: int, cap: int = DEFAULT_SEMILENGTH_CAP) -> Iterator[DyckPath]:
     """
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    if n > cap:
-        raise SemilengthTooLarge(f"semilength {n} above the cap {cap}")
+    if n > DEFAULT_SEMILENGTH_CAP:
+        raise SemilengthTooLarge(f"semilength {n} above the cap {DEFAULT_SEMILENGTH_CAP}")
 
     word: list[str] = []
 
@@ -286,7 +286,7 @@ def _factor_automaton(w: str) -> tuple[dict[str, int], ...]:
     return tuple(rows)
 
 
-def count_dyck_avoiding(n: int, w: str, cap: int = DEFAULT_SEMILENGTH_CAP) -> int:
+def count_dyck_avoiding(n: int, w: str) -> int:
     """How many Dyck paths of semilength n have no factor w.
 
     A transfer-matrix count over (height, KMP state of w), one step at a
@@ -300,8 +300,8 @@ def count_dyck_avoiding(n: int, w: str, cap: int = DEFAULT_SEMILENGTH_CAP) -> in
     """
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    if n > cap:
-        raise SemilengthTooLarge(f"semilength {n} above the cap {cap}")
+    if n > DEFAULT_SEMILENGTH_CAP:
+        raise SemilengthTooLarge(f"semilength {n} above the cap {DEFAULT_SEMILENGTH_CAP}")
     if not w:
         return 0
     automaton = _factor_automaton(w)

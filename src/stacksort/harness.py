@@ -6,12 +6,15 @@ first-entry order and the merge is plain summation, so results do not
 depend on how many workers processed them; reports and results serialize
 to the same bytes whatever the worker count.  ``enumerate_cached`` answers
 from a checksummed file per (machine, n) when it can and scans otherwise.
+Lengths above ``perms.DEFAULT_GENERATION_CAP`` are refused before any scan.
 
 Claims are checked by the suites in ``suites`` and by ``conjecture_tables``
-here.  A failed check is reported with counterexamples rather than raised,
-so a false claim shows up loudly in the report and in the exit code without
-taking the rest of the suite down with it; a claim whose length range is
-empty is reported as skipped.
+here, which compares the (132,213) and (213,312) machines on each statistic
+of ``STATISTICS``; that tuple alone names the statistics, their claim ids,
+JSON keys and text labels.  A failed check is reported with counterexamples
+rather than raised, so a false claim shows up loudly in the report and in
+the exit code without taking the rest of the suite down with it; a claim
+whose length range is empty is reported as skipped.
 
 Importing this module loads only ``perms``.  The engine loads ``machine``
 when it scans and ``run_suites`` loads ``suites`` when it first runs, so a
@@ -27,9 +30,10 @@ import json
 import os
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .perms import (
     DEFAULT_GENERATION_CAP,
@@ -110,14 +114,14 @@ class EnumerationResult:
         )
 
 
-def _scan_block(args: tuple[int, int, tuple[str, ...], bool]) -> tuple[int, tuple]:
+def _scan_block(args: tuple[int, int, tuple[Permutation, ...], bool]) -> tuple[int, tuple]:
     """Count sortable permutations of S_n whose first entry is fixed."""
     # machine is imported where the engine scans, not at module level: a
     # cache hit then loads no layer beyond perms
     from .machine import _compile, _sortable_word
 
-    n, first, tokens, keep = args
-    compiled = _compile(PatternSet.of(*(Permutation.from_digits(t) for t in tokens)))
+    n, first, patterns, keep = args
+    compiled = _compile(PatternSet.of(*patterns))
     rest = [v for v in range(1, n + 1) if v != first]
     count = 0
     found = []
@@ -135,19 +139,18 @@ def _enumerate(
     patterns: tuple[Permutation, ...],
     keep_witnesses: bool | None,
     workers: int,
-    cap: int,
 ) -> EnumerationResult:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise LengthTooLarge(f"n={n} above the enumeration cap {cap}")
+    if n > DEFAULT_GENERATION_CAP:
+        raise LengthTooLarge(f"n={n} above the enumeration cap {DEFAULT_GENERATION_CAP}")
     keep = (n <= WITNESS_DEFAULT_MAX) if keep_witnesses is None else keep_witnesses
     tokens = tuple(pattern_name(p) for p in patterns)
     if n == 0:
         witnesses = (Permutation(()),) if keep else None
         return EnumerationResult(tokens, 0, 1, witnesses, 1)
 
-    blocks = [(n, first, tokens, keep) for first in range(1, n + 1)]
+    blocks = [(n, first, patterns, keep) for first in range(1, n + 1)]
     if workers <= 1:
         parts = [_scan_block(block) for block in blocks]
     else:
@@ -171,13 +174,12 @@ def enumerate_sortable(
     tau: Permutation,
     keep_witnesses: bool | None = None,
     workers: int = 1,
-    cap: int = DEFAULT_GENERATION_CAP,
 ) -> EnumerationResult:
     """Scan S_n for the permutations the (sigma, tau) machine sorts."""
     from .machine import _compile_pair
 
     _compile_pair(sigma, tau)
-    return _enumerate(n, (sigma, tau), keep_witnesses, workers, cap)
+    return _enumerate(n, (sigma, tau), keep_witnesses, workers)
 
 
 def enumerate_single_machine(
@@ -185,13 +187,12 @@ def enumerate_single_machine(
     sigma: Permutation,
     keep_witnesses: bool | None = None,
     workers: int = 1,
-    cap: int = DEFAULT_GENERATION_CAP,
 ) -> EnumerationResult:
     """Same scan with a one-pattern stack."""
     from .machine import _compile
 
     _compile(PatternSet.of(sigma))
-    return _enumerate(n, (sigma,), keep_witnesses, workers, cap)
+    return _enumerate(n, (sigma,), keep_witnesses, workers)
 
 
 # ---- reports -------------------------------------------------------------
@@ -291,53 +292,64 @@ def _require_n_max(n_max: int, suite: str) -> None:
 # ---- the equidistribution conjecture -------------------------------------
 
 
+class Statistic(NamedTuple):
+    """One statistic the conjecture suite refines the sortable sets by."""
+
+    stem: str  # claim id: "{stem}-distributions-agree"
+    key: str  # JSON key of its distribution
+    label: str  # text label of its distribution
+    value: Callable[[Permutation], int]  # 0 on the empty permutation
+
+
+STATISTICS = (
+    Statistic("first-entry", "by_first_entry", "by first entry",
+              lambda x: x.entries[0] if len(x) else 0),
+    Statistic("max-position", "by_position_of_max", "by position of max",
+              lambda x: index_of(x, len(x)) if len(x) else 0),
+)
+
+
 @dataclass(frozen=True)
 class DistributionTable:
-    """Sortable-set statistics refined by first entry and by max position."""
+    """A machine's sortable set counted by each of ``STATISTICS``.
+
+    ``distributions`` maps each statistic's key to its value -> count table,
+    in increasing value order.
+    """
 
     machine: tuple[str, ...]
     n: int
-    by_first_entry: Mapping[int, int] = field(hash=False)
-    by_position_of_max: Mapping[int, int] = field(hash=False)
-
-    def total(self) -> int:
-        return sum(self.by_first_entry.values())
+    total: int
+    distributions: Mapping[str, Mapping[int, int]] = field(hash=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "machine": list(self.machine),
-            "n": self.n,
-            "by_first_entry": {
-                str(k): self.by_first_entry[k] for k in sorted(self.by_first_entry)
-            },
-            "by_position_of_max": {
-                str(k): self.by_position_of_max[k]
-                for k in sorted(self.by_position_of_max)
-            },
-        }
+        document = {"machine": list(self.machine), "n": self.n}
+        for key, counts in self.distributions.items():
+            document[key] = {str(k): v for k, v in counts.items()}
+        return document
+
+    def render_text(self) -> str:
+        lines = [f"machine {'+'.join(self.machine)}, n={self.n}, total {self.total}"]
+        for stat in STATISTICS:
+            counts = ", ".join(f"{k}:{v}" for k, v in self.distributions[stat.key].items())
+            lines.append(f"  {stat.label + ':':<20} {counts or '-'}")
+        return "\n".join(lines)
 
 
 def _distribution(n: int, patterns: tuple[Permutation, ...], workers: int) -> DistributionTable:
-    members = _enumerate(n, patterns, True, workers, DEFAULT_GENERATION_CAP).witnesses
-    first: dict[int, int] = {}
-    max_pos: dict[int, int] = {}
-    for x in members:
-        head = x.entries[0] if n else 0
-        first[head] = first.get(head, 0) + 1
-        pos = index_of(x, n) if n else 0
-        max_pos[pos] = max_pos.get(pos, 0) + 1
-    return DistributionTable(
-        tuple(pattern_name(p) for p in patterns), n, first, max_pos
-    )
+    scan = _enumerate(n, patterns, True, workers)
+    distributions = {
+        stat.key: dict(sorted(Counter(map(stat.value, scan.witnesses)).items()))
+        for stat in STATISTICS
+    }
+    return DistributionTable(scan.machine, n, scan.count, distributions)
 
 
 def conjecture_tables(
-    n: int,
-    pair_a: tuple[Permutation, Permutation] = (PATTERN_132, PATTERN_213),
-    pair_b: tuple[Permutation, Permutation] = (PATTERN_213, PATTERN_312),
-    workers: int = 1,
+    n: int, workers: int = 1
 ) -> tuple[DistributionTable, DistributionTable, SuiteReport]:
-    """Refined counts for two machines and whether they agree entry for entry.
+    """Refined counts for the (132,213) and (213,312) machines and whether
+    they agree entry for entry.
 
     Agreement here is evidence, not proof: the claim is open, so a clean
     pass at desk scale says nothing beyond the lengths actually scanned,
@@ -346,41 +358,28 @@ def conjecture_tables(
     cap = SUITE_CAPS["conjecture"]
     if not 0 <= n <= cap:
         raise ValueError(f"conjecture tables run for n in 0..{cap}, got {n}")
-    table_a = _distribution(n, pair_a, workers)
-    table_b = _distribution(n, pair_b, workers)
-    totals: list[str] = []
-    firsts: list[str] = []
-    max_positions: list[str] = []
-    partition: list[str] = []
-    if table_a.total() != table_b.total():
-        totals.append(f"n={n}: {table_a.total()} vs {table_b.total()}")
-    if dict(table_a.by_first_entry) != dict(table_b.by_first_entry):
-        firsts.append(
-            f"n={n}: {dict(sorted(table_a.by_first_entry.items()))}"
-            f" vs {dict(sorted(table_b.by_first_entry.items()))}"
-        )
-    if dict(table_a.by_position_of_max) != dict(table_b.by_position_of_max):
-        max_positions.append(
-            f"n={n}: {dict(sorted(table_a.by_position_of_max.items()))}"
-            f" vs {dict(sorted(table_b.by_position_of_max.items()))}"
-        )
-    for table in (table_a, table_b):
-        if sum(table.by_position_of_max.values()) != table.total():
-            partition.append(f"n={n}: {table.machine} tables sum differently")
-    report = SuiteReport(
-        "conjecture",
-        n,
-        (
-            _claim("totals-agree", n, n, totals),
-            _claim("first-entry-distributions-agree", n, n, firsts),
-            _claim("max-position-distributions-agree", n, n, max_positions),
-            _claim("statistics-partition-the-totals", n, n, partition),
-        ),
+    tables = (
+        _distribution(n, (PATTERN_132, PATTERN_213), workers),
+        _distribution(n, (PATTERN_213, PATTERN_312), workers),
     )
-    return table_a, table_b, report
+    compared = [("totals", [t.total for t in tables])] + [
+        (f"{stat.stem}-distributions", [t.distributions[stat.key] for t in tables])
+        for stat in STATISTICS
+    ]
+    claims = [
+        _claim(f"{what}-agree", n, n, [f"n={n}: {a} vs {b}"] if a != b else [])
+        for what, (a, b) in compared
+    ]
+    partition = [
+        f"n={n}: {t.machine} tables sum differently"
+        for t in tables
+        if any(sum(counts.values()) != t.total for counts in t.distributions.values())
+    ]
+    claims.append(_claim("statistics-partition-the-totals", n, n, partition))
+    return (*tables, SuiteReport("conjecture", n, tuple(claims)))
 
 
-def verify_conjecture(n_max: int = 8, workers: int = 1) -> SuiteReport:
+def verify_conjecture(n_max: int, workers: int = 1) -> SuiteReport:
     """conjecture_tables over every length up to n_max, merged into one report."""
     _require_n_max(n_max, "conjecture")
     merged: dict[str, list[str]] = {}

@@ -194,7 +194,7 @@ def machine_patterns(
 ) -> PatternSet:
     """The first stack's forbidden set; the machine needs two distinct patterns."""
     if sigma == tau:
-        raise DegeneratePair(f"need two distinct patterns, got {sigma} twice")
+        raise DegeneratePair(f"need two distinct patterns, got {pattern_name(sigma)} twice")
     return PatternSet.of(sigma, tau)
 
 

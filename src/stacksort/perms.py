@@ -462,7 +462,6 @@ def _ends_at(word: Sequence[int], v: int, compiled) -> bool:
 def avoiders(
     n: int,
     patterns: "PatternSet | Iterable[Permutation | BivincularPattern]",
-    cap: int = DEFAULT_GENERATION_CAP,
 ) -> Iterator[Permutation]:
     """All x in S_n avoiding every pattern, streamed in lexicographic order.
 
@@ -477,8 +476,8 @@ def avoiders(
     patterns = PatternSet.coerce(patterns)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise LengthTooLarge(f"n={n} above the generation cap {cap}")
+    if n > DEFAULT_GENERATION_CAP:
+        raise LengthTooLarge(f"n={n} above the generation cap {DEFAULT_GENERATION_CAP}")
     compiled = _compile_classical(tuple(p.entries for p in patterns.classical))
     bivincular = patterns.bivincular
 

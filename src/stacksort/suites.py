@@ -39,7 +39,6 @@ from .harness import (
 )
 from .machine import is_sortable, pattern_stack_pass
 from .perms import (
-    DEFAULT_GENERATION_CAP,
     PATTERN_123,
     PATTERN_132,
     PATTERN_213,
@@ -103,7 +102,7 @@ OEIS_PREFIXES: Mapping[str, SequenceTable] = {table.name: table for table, _ in 
 # ---- suites --------------------------------------------------------------
 
 
-def verify_characterization(n_max: int = 7, workers: int = 1) -> SuiteReport:
+def verify_characterization(n_max: int, workers: int = 1) -> SuiteReport:
     """The (132,321)-sortable permutations are exactly the 123-avoiders
     with no adjacent-middle 132; their counts follow the g recurrence."""
     _require_n_max(n_max, "characterization")
@@ -111,7 +110,7 @@ def verify_characterization(n_max: int = 7, workers: int = 1) -> SuiteReport:
     set_bad: list[str] = []
     count_bad: list[str] = []
     for n in range(n_max + 1):
-        scan = _enumerate(n, (PATTERN_132, PATTERN_321), True, workers, DEFAULT_GENERATION_CAP)
+        scan = _enumerate(n, (PATTERN_132, PATTERN_321), True, workers)
         sortable = set(scan.witnesses)
         avoiding = set(avoiders(n, PatternSet.of(PATTERN_123, STAR_132)))
         for x in sorted(sortable ^ avoiding, key=lambda p: p.entries):
@@ -145,7 +144,7 @@ def _west_golden_claim() -> VerificationReport:
     return _claim("golden-pair-45231-42153", 5, 5, bad)
 
 
-def verify_west(n_max: int = 7, workers: int = 1) -> SuiteReport:
+def verify_west(n_max: int, workers: int = 1) -> SuiteReport:
     """Signature injectivity, the signature-matching bijection, the plateau
     criteria, and the structural facts feeding them.  Scans no S_n, so
     ``workers`` is accepted like every suite's and ignored."""
@@ -268,7 +267,7 @@ def _dyck_golden_claim() -> VerificationReport:
     return _claim("golden-grid-and-path", 11, 11, bad)
 
 
-def verify_dyck(n_max: int = 7, workers: int = 1) -> SuiteReport:
+def verify_dyck(n_max: int, workers: int = 1) -> SuiteReport:
     """The staircase map bijects 123-avoiders onto Dyck paths and turns the
     adjacent-middle 132 into a dudu factor; counts close the triangle.
     Scans no S_n, so ``workers`` is accepted like every suite's and ignored."""
@@ -315,7 +314,7 @@ def verify_dyck(n_max: int = 7, workers: int = 1) -> SuiteReport:
     )
 
 
-def verify_sortable_structure(n_max: int = 8, workers: int = 1) -> SuiteReport:
+def verify_sortable_structure(n_max: int, workers: int = 1) -> SuiteReport:
     """Shape of the (123,321)-sortable set: forced ends, forced max position,
     the swap and append closures, and the doubling count."""
     _require_n_max(n_max, "structure")
@@ -330,7 +329,7 @@ def verify_sortable_structure(n_max: int = 8, workers: int = 1) -> SuiteReport:
     machine_pair = (PATTERN_123, PATTERN_321)
 
     for n in range(1, n_max + 1):
-        sortable = _enumerate(n, machine_pair, True, workers, DEFAULT_GENERATION_CAP).witnesses
+        sortable = _enumerate(n, machine_pair, True, workers).witnesses
         if len(sortable) != sort_123_321_closed(n):
             counts.append(
                 f"n={n}: counted {len(sortable)}, closed form {sort_123_321_closed(n)}"
@@ -383,19 +382,13 @@ def verify_sortable_structure(n_max: int = 8, workers: int = 1) -> SuiteReport:
 # ---- count rows against reference sequences ------------------------------
 
 
-def _count_row(
-    n_max: int, patterns: tuple[Permutation, ...], workers: int = 1
-) -> list[int]:
-    return [
-        _enumerate(n, patterns, False, workers, DEFAULT_GENERATION_CAP).count
-        for n in range(1, n_max + 1)
-    ]
+def _count_row(n_max: int, patterns: tuple[Permutation, ...], workers: int) -> list[int]:
+    return [_enumerate(n, patterns, False, workers).count for n in range(1, n_max + 1)]
 
 
-def find_alignment(
-    row: Sequence[int], table: SequenceTable, max_shift: int = 3
-) -> int | None:
-    """The shift d with row[n] = table[n + d] wherever the table covers n.
+def find_alignment(row: Sequence[int], table: SequenceTable) -> int | None:
+    """The shift d, |d| <= 3, with row[n] = table[n + d] wherever the table
+    covers n.
 
     Row indices start at 1.  A shift only counts when the overlap is the
     whole row or at least four terms, so a short reference prefix cannot
@@ -403,7 +396,7 @@ def find_alignment(
     (ties toward negative) so reports stay deterministic; None if nothing
     fits.
     """
-    shifts = sorted(range(-max_shift, max_shift + 1), key=lambda d: (abs(d), d))
+    shifts = sorted(range(-3, 4), key=lambda d: (abs(d), d))
     lo, hi = table.offset, table.offset + len(table.terms) - 1
     for d in shifts:
         covered = [n for n in range(1, len(row) + 1) if lo <= n + d <= hi]
@@ -431,7 +424,7 @@ TABLE_ROWS: tuple[tuple[str, tuple[Permutation, ...], str], ...] = (
 )
 
 
-def verify_tables(n_max: int = 8, workers: int = 1) -> SuiteReport:
+def verify_tables(n_max: int, workers: int = 1) -> SuiteReport:
     """Brute-force count rows for the classical machine pairs and singles,
     aligned against the reference prefixes; plus the closed form for the
     (123,321) pair and agreement of generated and embedded references."""

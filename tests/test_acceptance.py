@@ -346,8 +346,8 @@ def test_closed_form_row(tables_report):
 def test_totals_and_first_entry_distributions_agree():
     for n in range(1, 9):
         a, b, report = conjecture_tables(n)
-        assert a.total() == b.total()
-        assert dict(a.by_first_entry) == dict(b.by_first_entry)
+        assert a.total == b.total
+        assert a.distributions["by_first_entry"] == b.distributions["by_first_entry"]
         assert claim(report, "totals-agree").status == "pass"
         assert claim(report, "first-entry-distributions-agree").status == "pass"
 
@@ -371,7 +371,7 @@ def test_max_position_distributions_agree():
     # the oracle's direct count, so neither side of the split can drift.
     for n in range(1, 7):
         a, b, report = conjecture_tables(n)
-        dist_a, dist_b = dict(a.by_position_of_max), dict(b.by_position_of_max)
+        dist_a, dist_b = (t.distributions["by_position_of_max"] for t in (a, b))
         assert dist_a == oracle_max_positions(n, (1, 3, 2), (2, 1, 3)), f"n={n}"
         assert dist_b == oracle_max_positions(n, (2, 1, 3), (3, 1, 2)), f"n={n}"
         assert (dist_a == dist_b) == (n <= 3), f"n={n}: {dist_a} vs {dist_b}"

@@ -59,12 +59,12 @@ def test_trace_sorts_the_sortable(capsys):
 
 
 def test_trace_rejects_a_degenerate_pair(capsys):
-    code, out, err = invoke(
-        capsys, "trace", "--sigma", "132", "--tau", "132", "--perm", "2314"
-    )
-    assert code == 2
-    assert out == ""
-    assert "two distinct patterns" in err
+    for pattern in ("132", "132-star"):
+        code, out, err = invoke(
+            capsys, "trace", "--sigma", pattern, "--tau", pattern, "--perm", "2314"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: need two distinct patterns, got {pattern} twice\n"
 
 
 def test_enumerate_csv_golden(capsys, tmp_path):
@@ -149,6 +149,34 @@ def test_enumerate_single_machine(capsys, tmp_path):
     )
     assert code == 0
     assert "132,5,51" in out
+
+
+def test_enumerate_refuses_past_the_enumeration_cap(capsys, tmp_path):
+    code, out, err = invoke(
+        capsys,
+        "enumerate", "--sigma", "132", "--tau", "321", "--n", "13",
+        "--cache-dir", str(tmp_path),
+    )
+    assert (code, out, err) == (2, "", "error: n=13 above the enumeration cap 12\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--sigma", "132", "--n", "3"],
+    ["verify", "--suite", "west", "--n-max", "2"],
+    ["conjecture", "--n", "2"],
+])
+def test_workers_below_one_is_a_usage_error(capsys, argv):
+    # refused while parsing, before anything scans or touches a cache
+    for workers in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--workers", workers])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --workers: must be at least 1, got {workers}\n"
+        )
 
 
 def test_enumerate_rejects_star_patterns(capsys, tmp_path):
@@ -275,6 +303,83 @@ def test_conjecture_exit_codes(capsys):
     code, out, _ = invoke(capsys, "conjecture", "--n", "4")
     assert code == 1
     assert "max-position-distributions-agree" in out
+
+
+CONJECTURE_N4_TEXT = """\
+machine 132+213, n=4, total 16
+  by first entry:      1:1, 2:3, 3:6, 4:6
+  by position of max:  1:6, 2:3, 3:3, 4:4
+machine 213+312, n=4, total 16
+  by first entry:      1:1, 2:3, 3:6, 4:6
+  by position of max:  1:6, 2:2, 3:3, 4:5
+suite conjecture (n_max=4): FAILURES
+  ok   totals-agree (n=4..4)
+  ok   first-entry-distributions-agree (n=4..4)
+  FAIL max-position-distributions-agree (n=4..4)
+         n=4: {1: 6, 2: 3, 3: 3, 4: 4} vs {1: 6, 2: 2, 3: 3, 4: 5}
+  ok   statistics-partition-the-totals (n=4..4)
+"""
+
+VERIFY_CONJECTURE_5_TEXT = """\
+suite conjecture (n_max=5): FAILURES
+  ok   totals-agree (n=1..5)
+  ok   first-entry-distributions-agree (n=1..5)
+  FAIL max-position-distributions-agree (n=1..5)
+         n=4: {1: 6, 2: 3, 3: 3, 4: 4} vs {1: 6, 2: 2, 3: 3, 4: 5}
+         n=5: {1: 22, 2: 11, 3: 11, 4: 8, 5: 9} vs {1: 22, 2: 6, 3: 8, 4: 9, 5: 16}
+  ok   statistics-partition-the-totals (n=1..5)
+
+failing suites: conjecture
+"""
+
+
+def test_conjecture_text_golden(capsys):
+    assert invoke(capsys, "conjecture", "--n", "4") == (1, CONJECTURE_N4_TEXT, "")
+
+
+def test_conjecture_json_golden(capsys):
+    def table(machine):
+        return {
+            "machine": machine,
+            "n": 0,
+            "by_first_entry": {"0": 1},
+            "by_position_of_max": {"0": 1},
+        }
+
+    claim_ids = (
+        "totals-agree",
+        "first-entry-distributions-agree",
+        "max-position-distributions-agree",
+        "statistics-partition-the-totals",
+    )
+    expected = {
+        "machine_a": table(["132", "213"]),
+        "machine_b": table(["213", "312"]),
+        "report": {
+            "suite": "conjecture",
+            "n_max": 0,
+            "passed": True,
+            "claims": [
+                {
+                    "claim_id": claim_id,
+                    "n_range": [0, 0],
+                    "status": "pass",
+                    "counterexamples": [],
+                    "detail": "",
+                }
+                for claim_id in claim_ids
+            ],
+        },
+    }
+    code, out, err = invoke(capsys, "conjecture", "--n", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_verify_conjecture_text_golden(capsys):
+    assert invoke(capsys, "verify", "--suite", "conjecture", "--n-max", "5") == (
+        1, VERIFY_CONJECTURE_5_TEXT, "",
+    )
 
 
 def test_usage_errors_exit_two(capsys):

@@ -112,10 +112,10 @@ def test_conjecture_agrees_at_three_but_not_four():
     *_, report3 = conjecture_tables(3)
     assert report3.passed
     a, b, report4 = conjecture_tables(4)
-    assert a.total() == b.total() == 16
-    assert dict(a.by_first_entry) == dict(b.by_first_entry)
+    assert a.total == b.total == 16
+    assert a.distributions["by_first_entry"] == b.distributions["by_first_entry"]
     # the refined max-position statistic genuinely differs from length 4 on
-    assert dict(a.by_position_of_max) != dict(b.by_position_of_max)
+    assert a.distributions["by_position_of_max"] != b.distributions["by_position_of_max"]
     assert not report4.passed
     failing = {c.claim_id for c in report4.claims if c.status == "fail"}
     assert failing == {"max-position-distributions-agree"}

@@ -11,6 +11,7 @@ from stacksort.perms import (
     STAR_132,
     BivincularPattern,
     KOutOfRange,
+    LengthTooLarge,
     MalformedToken,
     NotABijection,
     PatternSet,
@@ -202,6 +203,14 @@ def test_avoiders_with_star_pattern():
             and not oracles.contains_star(x.entries, (1, 3, 2))
         )
         assert got == want
+
+
+def test_avoiders_refuses_past_the_generation_cap_before_yielding():
+    # the refusal comes from the call itself, not from the first next()
+    with pytest.raises(LengthTooLarge) as exc:
+        avoiders(13, [Permutation.from_digits("123")])
+    assert str(exc.value) == "n=13 above the generation cap 12"
+    assert sum(1 for _ in avoiders(12, [Permutation.from_digits("12")])) == 1
 
 
 def test_pattern_set_deduplicates():
