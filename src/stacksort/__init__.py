@@ -13,8 +13,11 @@ The public names below resolve lazily (PEP 562): ``import stacksort``
 loads no layer, and the first use of a name loads only the module that
 defines it.  So ``from stacksort import Permutation`` loads ``perms``
 alone, and ``stacksort.run_suites`` loads ``harness``; running a suite
-then loads ``suites`` and, through its imports, every other layer.  The command line follows the same rule per
-subcommand; the ``cli`` docstring lists the layers each one loads.
+then loads ``suites`` and, through its imports, every other layer.
+
+``_EXPORTS`` is the one table of which layer defines each public name.  The
+command line binds the names its handlers call from it, one layer at a time
+per subcommand; the ``cli`` docstring lists the layers each one loads.
 """
 
 import sys
@@ -30,18 +33,19 @@ _EXPORTS = {
         "format_permutation", "parse_permutation",
     ),
     "machine": (
-        "StackStep", "StackTrace", "is_sortable", "machine", "pattern_stack_pass",
-        "validate_trace", "west_pass",
+        "StackStep", "StackTrace", "is_sortable", "machine", "machine_patterns",
+        "pattern_stack_pass", "validate_trace", "west_pass",
     ),
     "signatures": ("active_sites", "format_signature", "has_plateau", "signature", "west_map"),
     "dyck": (
-        "BSequence", "DyckPath", "GridDecomposition", "cell_capacity_ok",
+        "BSequence", "DyckPath", "FACTOR_DUDU", "GridDecomposition", "cell_capacity_ok",
         "contains_factor", "count_dyck_avoiding", "dyck_paths", "grid_cells",
         "rotem_b_sequence", "rotem_map",
     ),
     "sequences": (
-        "SequenceTable", "catalan", "f_sequence", "g_sequence", "gf_coefficients",
-        "schroder_large", "sort_123_321_closed",
+        "SequenceTable", "binomial_transform_catalan", "catalan", "f_sequence",
+        "g_sequence", "gf_coefficients", "powers_2_shifted", "schroder_large",
+        "sort_123_321_closed",
     ),
     "harness": (
         "EnumerationResult", "SuiteReport", "VerificationReport", "conjecture_tables",

@@ -7,7 +7,8 @@ and output bytes are deterministic: nothing here consults a clock, a
 random source, or unordered iteration.
 
 Importing this module loads only ``perms``.  Each subcommand then loads
-the layers it calls (COMMAND_LAYERS) and nothing else:
+the layers it calls (COMMAND_LAYERS) and nothing else, binding each layer's
+public names here from the package's one export table (``stacksort._EXPORTS``):
 
     trace                         machine
     signature, west-map           machine, signatures
@@ -38,6 +39,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import stacksort
+
 from .perms import (
     STAR_123,
     STAR_132,
@@ -54,29 +57,6 @@ from .perms import (
 if TYPE_CHECKING:
     from .machine import StackTrace
 
-#: The layer names the handlers call, by the module that defines them.
-#: run() binds a command's names as module globals before its handler runs,
-#: and attribute access (module __getattr__) binds them on demand.  Both use
-#: setdefault, so a value already set on this module, such as a test's
-#: monkeypatch or a tracing wrapper, is the one the handlers call.
-LAYER_NAMES = {
-    "machine": ("machine_patterns", "pattern_stack_pass", "west_pass"),
-    "signatures": ("format_signature", "has_plateau", "signature", "west_map"),
-    # dyck_paths is not called here (dyck --n counts with count_dyck_avoiding
-    # and catalan), but perfbench/spans.py wraps it by name in this module.
-    "dyck": (
-        "FACTOR_DUDU", "contains_factor", "count_dyck_avoiding", "dyck_paths",
-        "rotem_b_sequence", "rotem_map",
-    ),
-    "sequences": (
-        "SequenceTable", "binomial_transform_catalan", "catalan", "f_sequence",
-        "g_sequence", "gf_coefficients", "powers_2_shifted", "schroder_large",
-        "sort_123_321_closed",
-    ),
-    "harness": ("conjecture_tables", "enumerate_cached", "run_suites"),
-}
-_HOME = {name: module for module, names in LAYER_NAMES.items() for name in names}
-
 #: The layers each subcommand calls into.
 COMMAND_LAYERS = {
     "trace": ("machine",),
@@ -91,19 +71,18 @@ COMMAND_LAYERS = {
 
 
 def _load(layer: str) -> None:
-    # __import__, not importlib.import_module: only loads that go through the
-    # import statement's machinery show up in python -X importtime
-    path = f"{__package__}.{layer}"
-    __import__(path)
-    module = sys.modules[path]
-    for name in LAYER_NAMES[layer]:
-        globals().setdefault(name, getattr(module, name))
+    # run() binds a command's layers as module globals before its handler
+    # runs, and attribute access (module __getattr__) binds them on demand.
+    # Both use setdefault, so a value already set on this module, such as a
+    # test's monkeypatch or a tracing wrapper, is the one the handlers call.
+    for name in stacksort._EXPORTS[layer]:
+        globals().setdefault(name, getattr(stacksort, name))
 
 
 def __getattr__(name: str):
-    if name not in _HOME:
+    if name not in stacksort._HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_HOME[name])
+    _load(stacksort._HOME[name])
     return globals()[name]
 
 

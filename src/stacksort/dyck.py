@@ -55,10 +55,6 @@ class DyckPath:
         if height != 0:
             raise ValueError(f"unbalanced path: {self.word!r}")
 
-    @property
-    def semilength(self) -> int:
-        return len(self.word) // 2
-
     def __str__(self) -> str:
         return self.word
 

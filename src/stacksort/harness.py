@@ -53,7 +53,8 @@ PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
 
-#: Above this length, enumeration drops witnesses unless asked to keep them.
+#: Above this length, enumerate_sortable and enumerate_single_machine drop
+#: the witnesses and return the count alone.
 WITNESS_DEFAULT_MAX = 8
 
 ENGINE_VERSION = "1"
@@ -134,24 +135,29 @@ def _scan_block(args: tuple[int, int, tuple[Permutation, ...], bool]) -> tuple[i
     return count, tuple(found)
 
 
+def _require_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def _enumerate(
     n: int,
     patterns: tuple[Permutation, ...],
-    keep_witnesses: bool | None,
+    keep: bool,
     workers: int,
 ) -> EnumerationResult:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > DEFAULT_GENERATION_CAP:
         raise LengthTooLarge(f"n={n} above the enumeration cap {DEFAULT_GENERATION_CAP}")
-    keep = (n <= WITNESS_DEFAULT_MAX) if keep_witnesses is None else keep_witnesses
+    _require_workers(workers)
     tokens = tuple(pattern_name(p) for p in patterns)
     if n == 0:
         witnesses = (Permutation(()),) if keep else None
         return EnumerationResult(tokens, 0, 1, witnesses, 1)
 
     blocks = [(n, first, patterns, keep) for first in range(1, n + 1)]
-    if workers <= 1:
+    if workers == 1:
         parts = [_scan_block(block) for block in blocks]
     else:
         # imported only here: the pool loads multiprocessing and logging, which
@@ -172,27 +178,25 @@ def enumerate_sortable(
     n: int,
     sigma: Permutation,
     tau: Permutation,
-    keep_witnesses: bool | None = None,
     workers: int = 1,
 ) -> EnumerationResult:
     """Scan S_n for the permutations the (sigma, tau) machine sorts."""
     from .machine import _compile_pair
 
     _compile_pair(sigma, tau)
-    return _enumerate(n, (sigma, tau), keep_witnesses, workers)
+    return _enumerate(n, (sigma, tau), n <= WITNESS_DEFAULT_MAX, workers)
 
 
 def enumerate_single_machine(
     n: int,
     sigma: Permutation,
-    keep_witnesses: bool | None = None,
     workers: int = 1,
 ) -> EnumerationResult:
     """Same scan with a one-pattern stack."""
     from .machine import _compile
 
     _compile(PatternSet.of(sigma))
-    return _enumerate(n, (sigma,), keep_witnesses, workers)
+    return _enumerate(n, (sigma,), n <= WITNESS_DEFAULT_MAX, workers)
 
 
 # ---- reports -------------------------------------------------------------
@@ -286,7 +290,6 @@ def _require_n_max(n_max: int, suite: str) -> None:
     cap = SUITE_CAPS[suite]
     if not 0 <= n_max <= cap:
         raise ValueError(f"{suite} runs for n_max in 0..{cap}, got {n_max}")
-
 
 
 # ---- the equidistribution conjecture -------------------------------------
@@ -404,6 +407,8 @@ def run_suites(
     """Run the named suites in order, each at n_max clamped to its cap."""
     from .suites import SUITES
 
+    # the west and dyck suites scan no S_n, so _enumerate alone would not check
+    _require_workers(workers)
     reports = []
     for name in names:
         if name not in SUITES:

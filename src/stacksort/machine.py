@@ -22,7 +22,6 @@ whole top-to-bottom word.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -93,9 +92,6 @@ class StackTrace:
             ],
             "output": list(self.output.entries),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def pattern_set_names(patterns: PatternSet) -> list[str]:

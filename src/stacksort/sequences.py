@@ -62,10 +62,6 @@ class SequenceTable:
             "terms": [str(t) for t in self.terms],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SequenceTable":
-        return cls(data["name"], data["offset"], tuple(int(t) for t in data["terms"]))
-
 
 def _cap(n_max: int) -> int:
     if not 0 <= n_max <= DEFAULT_N_MAX:

@@ -111,22 +111,6 @@ def format_signature(sig: tuple[int, ...]) -> str:
     return ".".join(str(entry) for entry in sig)
 
 
-def parse_signature(text: str) -> tuple[int, ...]:
-    """Inverse of format_signature.
-
-    >>> parse_signature("4.4.3.3.2")
-    (4, 4, 3, 3, 2)
-    """
-    if not text:
-        return ()
-    entries = []
-    for token in text.split("."):
-        if not token.isdigit() or int(token) < 1:
-            raise ValueError(f"signature entries are positive integers, got {token!r}")
-        entries.append(int(token))
-    return tuple(entries)
-
-
 def has_plateau(sig: tuple[int, ...]) -> bool:
     """Whether sig has two equal adjacent entries followed by one at least as large.
 

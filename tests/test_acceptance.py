@@ -134,7 +134,7 @@ def test_sortable_counts_four_ways(sortable_sets):
         brute = (
             len(sortable_sets[n])
             if n <= 8
-            else enumerate_sortable(n, P132, P321, keep_witnesses=False).count
+            else enumerate_sortable(n, P132, P321).count
         )
         dyck = count_dyck_avoiding(n, FACTOR_DUDU)
         frozen = SORTABLE_132_321[n - 1]

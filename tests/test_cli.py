@@ -501,19 +501,17 @@ def test_each_subcommand_loads_only_the_layers_it_runs(
 
 
 def test_every_exported_name_resolves_to_its_definition():
+    # the package and the CLI resolve every public name from the one table
     for layer, names in stacksort._EXPORTS.items():
         module = importlib.import_module(f"stacksort.{layer}")
         for name in names:
             assert getattr(stacksort, name) is getattr(module, name), name
+            assert getattr(cli, name) is getattr(module, name), name
     assert set(stacksort.__all__) <= set(dir(stacksort))
     namespace = {}
     exec("from stacksort import *", namespace)
     assert set(stacksort.__all__) <= set(namespace)
     assert namespace["machine"] is importlib.import_module("stacksort.machine").machine
-    for layer, names in cli.LAYER_NAMES.items():
-        module = importlib.import_module(f"stacksort.{layer}")
-        for name in names:
-            assert getattr(cli, name) is getattr(module, name), name
     with pytest.raises(AttributeError):
         stacksort.no_such_name
     with pytest.raises(AttributeError):

@@ -39,11 +39,6 @@ def test_dyck_path_validation():
         DyckPath("uxud")
 
 
-def test_semilength():
-    assert DyckPath("").semilength == 0
-    assert DyckPath("uududd").semilength == 3
-
-
 def test_golden_staircase():
     x = Permutation((8, 11, 6, 10, 4, 9, 7, 5, 3, 1, 2))
     assert rotem_b_sequence(x).b == (11, 10, 10, 9, 9, 8, 6, 4, 4, 4, 1)

@@ -40,7 +40,7 @@ def test_witness_policy():
     small = enumerate_sortable(4, P("132"), P("321"))
     assert small.witnesses is not None
     assert len(small.witnesses) == small.count
-    big = enumerate_sortable(9, P("132"), P("321"), keep_witnesses=False)
+    big = enumerate_sortable(9, P("132"), P("321"))
     assert big.witnesses is None
     assert big.count == 1820
 
@@ -106,6 +106,14 @@ def test_run_suites_clamps_to_caps():
 def test_run_suites_rejects_unknown_names():
     with pytest.raises(ValueError):
         run_suites(["nonsense"], n_max=4)
+
+
+def test_worker_counts_below_one_are_refused():
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        enumerate_sortable(5, P("132"), P("321"), workers=0)
+    # the west suite scans no S_n, so run_suites checks the count itself
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        run_suites(["west"], 3, workers=0)
 
 
 def test_conjecture_agrees_at_three_but_not_four():

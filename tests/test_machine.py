@@ -1,4 +1,3 @@
-import json
 from itertools import permutations as iter_perms
 
 import pytest
@@ -160,7 +159,7 @@ def test_trace_json_shape():
     _, trace = pattern_stack_pass(
         P("2314"), PatternSet.of(P("132"), P("321")), want_trace=True
     )
-    doc = json.loads(trace.to_json())
+    doc = trace.to_json_dict()
     assert doc["machine"] == ["132", "321"]
     assert doc["input"] == [2, 3, 1, 4]
     assert doc["output"] == [3, 4, 1, 2]
@@ -171,9 +170,6 @@ def test_trace_json_shape():
         "stack": [2],
         "output": [],
     }
-    # serialization is stable
-    assert trace.to_json() == trace.to_json()
-
 
 def test_pattern_names():
     assert pattern_name(P("132")) == "132"

@@ -14,7 +14,6 @@ from stacksort.signatures import (
     avoider_with_signature,
     format_signature,
     has_plateau,
-    parse_signature,
     signature,
     west_map,
 )
@@ -31,7 +30,6 @@ def all_perms(n):
 def test_golden_signature():
     assert signature(P("45231"), P132) == (4, 4, 3, 3, 2)
     assert format_signature((4, 4, 3, 3, 2)) == "4.4.3.3.2"
-    assert parse_signature("4.4.3.3.2") == (4, 4, 3, 3, 2)
 
 
 def test_golden_pair_maps_both_ways():
@@ -138,8 +136,3 @@ def test_plateau_matches_star_containment():
             assert has_plateau(signature(x, P123)) == contains_bivincular(x, STAR_132)
         for x in avoiders(n, [P132]):
             assert has_plateau(signature(x, P132)) == contains_bivincular(x, STAR_123)
-
-
-def test_parse_signature_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_signature("4.x.2")
