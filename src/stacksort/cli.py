@@ -21,8 +21,11 @@ public names here from the package's one export table (``stacksort._EXPORTS``):
 Modules that only one branch needs, such as ``csv`` for ``--format csv``
 and ``traceback`` for an internal error, are imported in that branch.
 
-Handlers format what the layers return and name no statistic: ``conjecture``
-prints each table's own ``render_text``.
+Each handler returns an ``Answer``: its text, its JSON payload, its CSV rows
+where ``--format csv`` is offered, and its exit code.  ``run`` renders the
+form ``--format`` asks for and is the only code here that writes to stdout.
+Handlers name no statistic: ``conjecture`` joins each table's own
+``render_text``.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (argparse's own convention, which covers ``--workers``
@@ -36,8 +39,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import stacksort
 
@@ -104,13 +108,13 @@ STAR_TOKENS = {"132-star": STAR_132, "123-star": STAR_123}
 def _parse_pattern(token: str) -> Permutation | BivincularPattern:
     if token in STAR_TOKENS:
         return STAR_TOKENS[token]
-    if token.isdigit():
+    if token.isdecimal():
         return Permutation.from_digits(token)
     return parse_permutation(token)
 
 
 def _parse_perm(token: str) -> Permutation:
-    x = Permutation.from_digits(token) if token.isdigit() else parse_permutation(token)
+    x = Permutation.from_digits(token) if token.isdecimal() else parse_permutation(token)
     if len(x) > PERM_LENGTH_LIMIT:
         raise LengthTooLarge(
             f"--perm has length {len(x)}, above the limit {PERM_LENGTH_LIMIT}"
@@ -125,14 +129,14 @@ def _classical_pattern(token: str, flag: str) -> Permutation:
     return p
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+class Answer(NamedTuple):
+    """What a handler found, in every form its --format choices offer."""
 
-
-def _emit_json(payload: dict) -> None:
-    _emit(json.dumps(payload, indent=2))
+    text: str
+    payload: dict
+    #: CSV header and rows, for the subcommands that offer --format csv.
+    rows: list[list] | None = None
+    code: int = 0
 
 
 def _note(text: str) -> None:
@@ -151,26 +155,13 @@ def _render_trace_steps(trace: StackTrace) -> list[str]:
 # ---- subcommand handlers --------------------------------------------------
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace) -> Answer:
     x = _parse_perm(args.perm)
     sigma = _parse_pattern(args.sigma)
     tau = _parse_pattern(args.tau)
     mid, first = pattern_stack_pass(x, machine_patterns(sigma, tau), want_trace=True)
     out, second = west_pass(mid, want_trace=True)
     sorted_ok = out.is_identity
-    if args.format == "json":
-        _emit_json(
-            {
-                "input": list(x.entries),
-                "machine": [pattern_name(sigma), pattern_name(tau)],
-                "pattern_pass": first.to_json_dict(),
-                "intermediate": list(mid.entries),
-                "west_pass": second.to_json_dict(),
-                "output": list(out.entries),
-                "sorted": sorted_ok,
-            }
-        )
-        return 0
     name = f"({pattern_name(sigma)}, {pattern_name(tau)})"
     lines = [f"{name} machine on {format_permutation(x)}"]
     lines.append(f"pass 1: stack avoiding {name}")
@@ -180,129 +171,122 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     lines.extend(_render_trace_steps(second))
     lines.append(f"output: {format_permutation(out)}")
     lines.append(f"sorted: {'yes' if sorted_ok else 'no'}")
-    _emit("\n".join(lines))
-    return 0
+    return Answer(
+        "\n".join(lines),
+        {
+            "input": list(x.entries),
+            "machine": [pattern_name(sigma), pattern_name(tau)],
+            "pattern_pass": first.to_json_dict(),
+            "intermediate": list(mid.entries),
+            "west_pass": second.to_json_dict(),
+            "output": list(out.entries),
+            "sorted": sorted_ok,
+        },
+    )
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> Answer:
     sigma = _classical_pattern(args.sigma, "--sigma")
     tau = _classical_pattern(args.tau, "--tau") if args.tau else None
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    result, from_cache = enumerate_cached(
-        args.n, sigma, tau, workers=args.workers, cache_dir=cache_dir
-    )
+    # A cache entry that cannot be trusted or stored warns; it prints as one
+    # line that names no source file, before the note on how it was answered.
+    with warnings.catch_warnings(record=True) as caught:
+        result, from_cache = enumerate_cached(
+            args.n, sigma, tau, workers=args.workers, cache_dir=cache_dir
+        )
+    for warning in caught:
+        _note(f"warning: {warning.message}")
     _note("cache hit" if from_cache else f"scanned in {result.worker_partitions} blocks")
     label = "+".join(result.machine)
-    if args.format == "json":
-        _emit_json(result.to_json_dict())
-    elif args.format == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["machine", "n", "count"])
-        writer.writerow([label, result.n, result.count])
-        _emit(buf.getvalue())
-    else:
-        _emit(f"machine {label}, n={result.n}: {result.count} sortable permutations")
-    return 0
+    return Answer(
+        f"machine {label}, n={result.n}: {result.count} sortable permutations",
+        result.to_json_dict(),
+        [["machine", "n", "count"], [label, result.n, result.count]],
+    )
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Answer:
     names = list(SUITE_CAPS) if args.suite == "all" else [args.suite]
     reports = run_suites(names, args.n_max, workers=args.workers)
     passed = all(r.passed for r in reports)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n_max": args.n_max,
-                "suites": [r.to_json_dict() for r in reports],
-                "passed": passed,
-            }
-        )
-    else:
-        blocks = [r.render_text() for r in reports]
-        failing = [r.suite for r in reports if not r.passed]
-        blocks.append(
-            "all suites passed" if passed else "failing suites: " + ", ".join(failing)
-        )
-        _emit("\n\n".join(blocks))
-    return 0 if passed else 1
+    blocks = [r.render_text() for r in reports]
+    failing = [r.suite for r in reports if not r.passed]
+    blocks.append(
+        "all suites passed" if passed else "failing suites: " + ", ".join(failing)
+    )
+    return Answer(
+        "\n\n".join(blocks),
+        {
+            "n_max": args.n_max,
+            "suites": [r.to_json_dict() for r in reports],
+            "passed": passed,
+        },
+        code=0 if passed else 1,
+    )
 
 
-def _cmd_signature(args: argparse.Namespace) -> int:
+def _cmd_signature(args: argparse.Namespace) -> Answer:
     x = _parse_perm(args.perm)
     y = _classical_pattern(args.sigma, "--sigma")
     sig = signature(x, y)
-    if args.format == "json":
-        _emit_json(
-            {
-                "perm": list(x.entries),
-                "pattern": pattern_name(y),
-                "signature": list(sig),
-                "plateau": has_plateau(sig),
-            }
-        )
-        return 0
+    plateau = has_plateau(sig)
     lines = [format_signature(sig)]
-    if has_plateau(sig):
+    if plateau:
         lines.append("has a plateau (sig_i = sig_{i+1} <= sig_{i+2})")
-    _emit("\n".join(lines))
-    return 0
+    return Answer(
+        "\n".join(lines),
+        {
+            "perm": list(x.entries),
+            "pattern": pattern_name(y),
+            "signature": list(sig),
+            "plateau": plateau,
+        },
+    )
 
 
-def _cmd_west_map(args: argparse.Namespace) -> int:
+def _cmd_west_map(args: argparse.Namespace) -> Answer:
     x = _parse_perm(args.perm)
     source = _classical_pattern(args.sigma, "--sigma")
     target = _classical_pattern(args.tau, "--tau")
     image = west_map(x, source, target)
     sig = signature(x, source)
-    if args.format == "json":
-        _emit_json(
-            {
-                "perm": list(x.entries),
-                "source": pattern_name(source),
-                "target": pattern_name(target),
-                "image": list(image.entries),
-                "signature": list(sig),
-            }
-        )
-        return 0
-    _emit(f"{format_permutation(image)}\nshared signature: {format_signature(sig)}")
-    return 0
+    return Answer(
+        f"{format_permutation(image)}\nshared signature: {format_signature(sig)}",
+        {
+            "perm": list(x.entries),
+            "source": pattern_name(source),
+            "target": pattern_name(target),
+            "image": list(image.entries),
+            "signature": list(sig),
+        },
+    )
 
 
-def _cmd_dyck(args: argparse.Namespace) -> int:
+def _cmd_dyck(args: argparse.Namespace) -> Answer:
     if args.perm is not None:
         x = _parse_perm(args.perm)
         b = rotem_b_sequence(x)
         path = rotem_map(x)
         dudu = contains_factor(path, FACTOR_DUDU)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "perm": list(x.entries),
-                    "b_sequence": list(b.b),
-                    "path": path.word,
-                    "contains_dudu": dudu,
-                }
-            )
-            return 0
-        _emit(
+        return Answer(
             f"b: {' '.join(str(v) for v in b.b)}\n"
             f"path: {path.word}\n"
-            f"dudu factor: {'yes' if dudu else 'no'}"
+            f"dudu factor: {'yes' if dudu else 'no'}",
+            {
+                "perm": list(x.entries),
+                "b_sequence": list(b.b),
+                "path": path.word,
+                "contains_dudu": dudu,
+            },
         )
-        return 0
     n = args.n
     avoiding = count_dyck_avoiding(n, FACTOR_DUDU)  # refuses n outside 0..cap first
     total = catalan(n)[n]
-    if args.format == "json":
-        _emit_json({"n": n, "paths": total, "avoiding_dudu": avoiding})
-        return 0
-    _emit(f"Dyck paths of semilength {n}: {total}, avoiding dudu: {avoiding}")
-    return 0
+    return Answer(
+        f"Dyck paths of semilength {n}: {total}, avoiding dudu: {avoiding}",
+        {"n": n, "paths": total, "avoiding_dudu": avoiding},
+    )
 
 
 def _sequence_tables(n_max: int) -> list[SequenceTable]:
@@ -324,49 +308,36 @@ def _sequence_tables(n_max: int) -> list[SequenceTable]:
     return tables
 
 
-def _cmd_sequences(args: argparse.Namespace) -> int:
+def _cmd_sequences(args: argparse.Namespace) -> Answer:
     if not 0 <= args.n_max <= SEQUENCES_N_MAX:
         raise ValueError(
             f"sequences runs for n_max in 0..{SEQUENCES_N_MAX}, where every table"
             f" fits in 128 bits; got {args.n_max}"
         )
     tables = _sequence_tables(args.n_max)
-    if args.format == "json":
-        _emit_json({"tables": [t.to_json_dict() for t in tables]})
-        return 0
-    if args.format == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["table", "n", "value"])
-        for t in tables:
-            for i, term in enumerate(t.terms):
-                writer.writerow([t.name, t.offset + i, term])
-        _emit(buf.getvalue())
-        return 0
     lines = [
         f"{t.name} (from n={t.offset}): {' '.join(str(v) for v in t.terms)}"
         for t in tables
     ]
-    _emit("\n".join(lines))
-    return 0
+    return Answer(
+        "\n".join(lines),
+        {"tables": [t.to_json_dict() for t in tables]},
+        [["table", "n", "value"]]
+        + [[t.name, t.offset + i, term] for t in tables for i, term in enumerate(t.terms)],
+    )
 
 
-def _cmd_conjecture(args: argparse.Namespace) -> int:
+def _cmd_conjecture(args: argparse.Namespace) -> Answer:
     table_a, table_b, report = conjecture_tables(args.n, workers=args.workers)
-    if args.format == "json":
-        _emit_json(
-            {
-                "machine_a": table_a.to_json_dict(),
-                "machine_b": table_b.to_json_dict(),
-                "report": report.to_json_dict(),
-            }
-        )
-    else:
-        _emit("\n".join(t.render_text() for t in (table_a, table_b, report)))
-    return 0 if report.passed else 1
+    return Answer(
+        "\n".join(t.render_text() for t in (table_a, table_b, report)),
+        {
+            "machine_a": table_a.to_json_dict(),
+            "machine_b": table_b.to_json_dict(),
+            "report": report.to_json_dict(),
+        },
+        code=0 if report.passed else 1,
+    )
 
 
 # ---- parser ----------------------------------------------------------------
@@ -468,7 +439,20 @@ def run(argv: list[str] | None = None) -> int:
     try:
         for layer in COMMAND_LAYERS[args.command]:
             _load(layer)
-        return args.handler(args)
+        answer = args.handler(args)
+        if args.format == "json":
+            out = json.dumps(answer.payload, indent=2)
+        elif args.format == "csv":
+            import csv
+            import io
+
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(answer.rows)
+            out = buf.getvalue()
+        else:
+            out = answer.text
+        sys.stdout.write(out if out.endswith("\n") else out + "\n")
+        return answer.code
     except (ValueError, LookupError, OverflowError, ArithmeticError) as exc:
         _note(f"error: {exc}")
         return 2

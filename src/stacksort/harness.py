@@ -445,8 +445,6 @@ def cache_store(result: EnumerationResult, cache_dir: Path | str | None = None) 
     payload = result.to_json_dict()
     document = {
         "version": ENGINE_VERSION,
-        "machine": list(result.machine),
-        "n": result.n,
         "checksum": hashlib.sha256(_canonical(payload).encode()).hexdigest(),
         "result": payload,
     }

@@ -100,7 +100,7 @@ class Permutation:
         >>> Permutation.from_digits("132")
         Permutation((1, 3, 2))
         """
-        if not digits.isdigit():
+        if not digits.isdecimal():  # isdigit() also passes "²", which int() refuses
             raise MalformedToken(f"not a digit string: {digits!r}")
         return cls(tuple(int(c) for c in digits))
 

@@ -317,7 +317,13 @@ def verify_dyck(n_max: int, workers: int = 1) -> SuiteReport:
 
 def verify_sortable_structure(n_max: int, workers: int = 1) -> SuiteReport:
     """Shape of the (123,321)-sortable set: forced ends, forced max position,
-    the swap and append closures, and the doubling count."""
+    the swap and append closures, and the doubling count.
+
+    The append closure, ``appending-new-max-marks-sortable``, checks that
+    appending a new smallest entry to x (``insert_one_at(x, n + 1)``) gives
+    a sortable word exactly when x is sortable.  Appending a new maximum
+    would never sort from length 4 on, where the last entry must be 1 or 2.
+    """
     _require_n_max(n_max, "structure")
     counts: list[str] = []
     av123: list[str] = []
@@ -372,6 +378,7 @@ def verify_sortable_structure(n_max: int, workers: int = 1) -> SuiteReport:
             _claim("max-precedes-one-and-two", 5, n_max, max_pos),
             _claim("pass-output-pairs-two-one", 4, n_max, out21),
             _claim("swap-of-top-two-fixes-pass-output", 5, n_max, swap_fix),
+            # the id says "max" for a new minimum; perfbench/answers.json pins it
             _claim("appending-new-max-marks-sortable", 4, n_max, append_iff),
         ),
     )

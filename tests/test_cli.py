@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,45 +101,63 @@ def test_enumerate_rescans_an_entry_stored_under_another_key(capsys, tmp_path):
         "--cache-dir", str(tmp_path),
     )
     (entry,) = tmp_path.glob("*.json")
-    entry.rename(tmp_path / f"{harness._cache_key(('132', '321'), 6)}.json")
-    with pytest.warns(harness.CorruptCacheEntry):
-        code, out, err = invoke(
-            capsys,
-            "enumerate", "--sigma", "132", "--tau", "321", "--n", "6",
-            "--cache-dir", str(tmp_path),
-        )
+    moved = f"{harness._cache_key(('132', '321'), 6)}.json"
+    entry.rename(tmp_path / moved)
+    code, out, err = invoke(
+        capsys,
+        "enumerate", "--sigma", "132", "--tau", "321", "--n", "6",
+        "--cache-dir", str(tmp_path),
+    )
     assert code == 0
     assert out == "machine 132+321, n=6: 72 sortable permutations\n"
-    assert "cache hit" not in err
+    assert err == (
+        f"warning: discarding unreadable cache entry {moved}:"
+        " entry holds machine ['132', '321'], n=5\n"
+        "scanned in 6 blocks\n"
+    )
 
 
 def test_enumerate_rescans_an_entry_it_cannot_read(capsys, tmp_path):
-    (tmp_path / f"{harness._cache_key(('132', '321'), 5)}.json").mkdir()
-    with pytest.warns(UserWarning) as record:
-        code, out, err = invoke(
-            capsys,
-            "enumerate", "--sigma", "132", "--tau", "321", "--n", "5",
-            "--cache-dir", str(tmp_path),
-        )
+    entry = tmp_path / f"{harness._cache_key(('132', '321'), 5)}.json"
+    entry.mkdir()
+    code, out, err = invoke(
+        capsys,
+        "enumerate", "--sigma", "132", "--tau", "321", "--n", "5",
+        "--cache-dir", str(tmp_path),
+    )
     assert code == 0
     assert out == "machine 132+321, n=5: 26 sortable permutations\n"
-    # the directory in the entry's place also blocks the store
-    assert {w.category for w in record} == {
-        harness.CorruptCacheEntry, harness.CacheStoreFailed,
-    }
+    # the directory in the entry's place also blocks the store, whose
+    # message names the store's randomly named temporary file
+    discard, store, note = err.splitlines(keepends=True)
+    assert discard == (
+        f"warning: discarding unreadable cache entry {entry.name}:"
+        f" [Errno 21] Is a directory: '{entry}'\n"
+    )
+    assert re.fullmatch(
+        re.escape(f"warning: could not store the result in the cache: [Errno 21]"
+                  f" Is a directory: '{tmp_path}/")
+        + r"tmp\w+\.tmp' -> " + re.escape(f"'{entry}'\n"),
+        store,
+    )
+    assert note == "scanned in 5 blocks\n"
 
 
 def test_enumerate_prints_the_result_when_the_cache_cannot_store(capsys, tmp_path):
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
-    with pytest.warns(harness.CacheStoreFailed):
-        code, out, _ = invoke(
-            capsys,
-            "enumerate", "--sigma", "132", "--tau", "321", "--n", "6",
-            "--cache-dir", str(not_a_dir),
-        )
+    code, out, err = invoke(
+        capsys,
+        "enumerate", "--sigma", "132", "--tau", "321", "--n", "6",
+        "--cache-dir", str(not_a_dir),
+    )
     assert code == 0
     assert out == "machine 132+321, n=6: 72 sortable permutations\n"
+    assert err == (
+        "warning: could not store the result in the cache:"
+        f" [Errno 17] File exists: '{not_a_dir}'\n"
+        "scanned in 6 blocks\n"
+    )
 
 
 def test_enumerate_single_machine(capsys, tmp_path):
@@ -380,6 +399,39 @@ def test_verify_conjecture_text_golden(capsys):
     assert invoke(capsys, "verify", "--suite", "conjecture", "--n-max", "5") == (
         1, VERIFY_CONJECTURE_5_TEXT, "",
     )
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+#: One small input per subcommand and the exit code it gives; the stdout of
+#: each (name, format) pair is golden/<name>.<format>.  "{tmp}" is an empty
+#: cache directory.
+GOLDEN_RUNS = {
+    "trace": (0, ["trace", "--sigma", "132", "--tau", "321", "--perm", "231"]),
+    "verify": (1, ["verify", "--suite", "conjecture", "--n-max", "4"]),
+    "signature": (0, ["signature", "--perm", "45231", "--sigma", "132"]),
+    "west-map": (0, ["west-map", "--perm", "45231", "--sigma", "132", "--tau", "123"]),
+    "dyck-perm": (0, ["dyck", "--perm", "4213"]),
+    "dyck-n": (0, ["dyck", "--n", "4"]),
+    "conjecture": (0, ["conjecture", "--n", "3"]),
+    "enumerate": (0, ["enumerate", "--sigma", "132", "--tau", "321", "--n", "4",
+                      "--cache-dir", "{tmp}"]),
+    "sequences": (0, ["sequences", "--n-max", "3"]),
+}
+
+
+def _offered_formats(command: str) -> tuple[str, ...]:
+    (subparsers,) = build_parser()._subparsers._group_actions
+    return subparsers.choices[command]._option_string_actions["--format"].choices
+
+
+@pytest.mark.parametrize("name,fmt", [
+    (name, fmt) for name, (_, argv) in GOLDEN_RUNS.items() for fmt in _offered_formats(argv[0])
+])
+def test_stdout_golden_for_every_subcommand_and_format(capsys, tmp_path, name, fmt):
+    code, argv = GOLDEN_RUNS[name]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    expected = (GOLDEN / f"{name}.{fmt}").read_text()
+    assert invoke(capsys, *argv, "--format", fmt)[:2] == (code, expected)
 
 
 def test_usage_errors_exit_two(capsys):

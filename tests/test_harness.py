@@ -168,9 +168,11 @@ def test_alignment_rejects_mismatch():
 
 def test_cache_round_trip(tmp_path):
     result = enumerate_sortable(5, P("132"), P("321"))
-    cache_store(result, tmp_path)
+    entry = cache_store(result, tmp_path)
     loaded = cache_load(("132", "321"), 5, tmp_path)
     assert loaded == result
+    # the checksummed result names its machine and length; nothing repeats them
+    assert set(json.loads(entry.read_text())) == {"version", "checksum", "result"}
 
 
 def test_cache_miss_on_other_machine(tmp_path):

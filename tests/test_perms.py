@@ -59,8 +59,9 @@ def test_parse_rejects_garbage():
 
 def test_from_digits():
     assert Permutation.from_digits("45231").entries == (4, 5, 2, 3, 1)
-    with pytest.raises(MalformedToken):
-        Permutation.from_digits("1a2")
+    for digits in ("1a2", "²", "1²"):  # "²".isdigit() holds, but int() refuses it
+        with pytest.raises(MalformedToken):
+            Permutation.from_digits(digits)
 
 
 def test_identity():
