@@ -18,8 +18,11 @@ public names here from the package's one export table (``stacksort._EXPORTS``):
     enumerate (scan), conjecture  harness, machine
     verify                        harness, suites (which load every layer)
 
-Modules that only one branch needs, such as ``csv`` for ``--format csv``
-and ``traceback`` for an internal error, are imported in that branch.
+Modules that only one branch needs, such as ``json`` for ``--format json``,
+``csv`` for ``--format csv`` and ``traceback`` for an internal error, are
+imported in that branch; ``harness`` loads ``json`` for its cache.  No
+subcommand loads ``inspect``: the records are ``NamedTuple``s and the value
+types subclass ``perms._Frozen``.
 
 Each handler returns an ``Answer``: its text, its JSON payload, its CSV rows
 where ``--format csv`` is offered, and its exit code.  ``run`` renders the
@@ -37,7 +40,6 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -229,6 +231,8 @@ def _cmd_verify(args: argparse.Namespace) -> Answer:
 def _cmd_signature(args: argparse.Namespace) -> Answer:
     x = _parse_perm(args.perm)
     y = _classical_pattern(args.sigma, "--sigma")
+    if pattern_name(y) not in ("123", "132"):
+        raise ValueError(f"--sigma takes 123 or 132, got {args.sigma!r}")
     sig = signature(x, y)
     plateau = has_plateau(sig)
     lines = [format_signature(sig)]
@@ -441,6 +445,8 @@ def run(argv: list[str] | None = None) -> int:
             _load(layer)
         answer = args.handler(args)
         if args.format == "json":
+            import json
+
             out = json.dumps(answer.payload, indent=2)
         elif args.format == "csv":
             import csv

@@ -12,10 +12,9 @@ thing as a dudu factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
-from .perms import PATTERN_123, Permutation, contains_classical, ltr_minima
+from .perms import PATTERN_123, Permutation, _Frozen, contains_classical, ltr_minima
 
 #: Factor whose absence marks the avoiders of the adjacent-middle 132 pattern.
 FACTOR_DUDU = "dudu"
@@ -35,13 +34,14 @@ class SemilengthTooLarge(ValueError):
     """Path generation request above the brute-force cap."""
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(_Frozen):
     """A balanced u/d word whose prefixes never go below the axis."""
 
+    __slots__ = ("word",)
     word: str
 
-    def __post_init__(self) -> None:
+    def __init__(self, word: str) -> None:
+        self._freeze(word)
         height = 0
         for step in self.word:
             if step == "u":
@@ -59,8 +59,7 @@ class DyckPath:
         return self.word
 
 
-@dataclass(frozen=True)
-class GridDecomposition:
+class GridDecomposition(NamedTuple):
     """Cell occupancies of a permutation's ltr-minima grid.
 
     minima holds the minima values in order of appearance (so decreasing);
@@ -73,7 +72,7 @@ class GridDecomposition:
 
     minima: tuple[int, ...]
     vertical_strips: tuple[tuple[int, ...], ...]
-    cells: Mapping[tuple[int, int], int] = field(hash=False)
+    cells: Mapping[tuple[int, int], int]
 
     def occupancy(self, i: int, j: int) -> int:
         return self.cells.get((i, j), 0)
@@ -142,17 +141,18 @@ def cell_capacity_ok(x: Permutation) -> bool:
     return all(count <= 1 for count in grid_cells(x).cells.values())
 
 
-@dataclass(frozen=True)
-class BSequence:
+class BSequence(_Frozen):
     """The staircase profile read off a 123-avoider, one entry per position.
 
     Starts at n, never increases, and stays above the anti-diagonal
     (b_j >= n+1-j), which is what keeps the rotated path on the axis.
     """
 
+    __slots__ = ("b",)
     b: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, b: tuple[int, ...]) -> None:
+        self._freeze(b)
         n = len(self.b)
         if n == 0:
             return

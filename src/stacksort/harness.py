@@ -31,7 +31,6 @@ import os
 import tempfile
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -44,6 +43,7 @@ from .perms import (
     PatternSet,
     Permutation,
     SUITE_CAPS,
+    _Frozen,
     format_permutation,
     index_of,
     pattern_name,
@@ -72,17 +72,25 @@ class CacheStoreFailed(UserWarning):
 # ---- enumeration --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(_Frozen):
     """Count (and optionally the members) of one machine's sortable set."""
 
+    __slots__ = ("machine", "n", "count", "witnesses", "worker_partitions")
     machine: tuple[str, ...]
     n: int
     count: int
     witnesses: tuple[Permutation, ...] | None
     worker_partitions: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        machine: tuple[str, ...],
+        n: int,
+        count: int,
+        witnesses: tuple[Permutation, ...] | None,
+        worker_partitions: int,
+    ) -> None:
+        self._freeze(machine, n, count, witnesses, worker_partitions)
         if self.witnesses is not None and len(self.witnesses) != self.count:
             raise ValueError("witness list disagrees with the count")
 
@@ -202,21 +210,29 @@ def enumerate_single_machine(
 # ---- reports -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Frozen):
     """Outcome of one claim checked over a range of lengths.
 
     A claim fails exactly when it has counterexamples.  One whose range is
     empty examined nothing and is skipped, which does not fail its suite.
     """
 
+    __slots__ = ("claim_id", "n_range", "status", "counterexamples", "detail")
     claim_id: str
     n_range: tuple[int, int]
     status: str
-    counterexamples: tuple[str, ...] = ()
-    detail: str = ""
+    counterexamples: tuple[str, ...]
+    detail: str
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        claim_id: str,
+        n_range: tuple[int, int],
+        status: str,
+        counterexamples: tuple[str, ...] = (),
+        detail: str = "",
+    ) -> None:
+        self._freeze(claim_id, n_range, status, counterexamples, detail)
         if self.status not in (PASS, FAIL, SKIP):
             raise ValueError(f"unknown claim status {self.status!r}")
         if (self.status == FAIL) != bool(self.counterexamples):
@@ -232,8 +248,7 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """All claims of one verification suite, in a fixed order."""
 
     suite: str
@@ -312,8 +327,7 @@ STATISTICS = (
 )
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(NamedTuple):
     """A machine's sortable set counted by each of ``STATISTICS``.
 
     ``distributions`` maps each statistic's key to its value -> count table,
@@ -323,7 +337,7 @@ class DistributionTable:
     machine: tuple[str, ...]
     n: int
     total: int
-    distributions: Mapping[str, Mapping[int, int]] = field(hash=False)
+    distributions: Mapping[str, Mapping[int, int]]
 
     def to_json_dict(self) -> dict:
         document = {"machine": list(self.machine), "n": self.n}
@@ -449,16 +463,23 @@ def cache_store(result: EnumerationResult, cache_dir: Path | str | None = None) 
         "result": payload,
     }
     target = directory / f"{_cache_key(result.machine, result.n)}.json"
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=directory, suffix=".tmp", delete=False
-    )
     try:
-        with handle:
-            json.dump(document, handle, sort_keys=True, indent=1)
-        os.replace(handle.name, target)
-    except BaseException:
-        os.unlink(handle.name)
-        raise
+        handle = tempfile.NamedTemporaryFile(
+            "w", dir=directory, suffix=".tmp", delete=False
+        )
+        try:
+            with handle:
+                json.dump(document, handle, sort_keys=True, indent=1)
+            os.replace(handle.name, target)
+        except BaseException:
+            os.unlink(handle.name)
+            raise
+    except OSError as error:
+        if error.filename is None:
+            raise
+        # name the entry, not the randomly named temporary file, so the
+        # message is the same on every run
+        raise OSError(error.errno, error.strerror, str(target)) from error
     return target
 
 

@@ -22,9 +22,8 @@ whole top-to-bottom word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .perms import (
     PATTERN_21,
@@ -54,8 +53,7 @@ POP_FLUSH = "POP_FLUSH"
 WEST_PATTERNS = PatternSet.of(PATTERN_21)
 
 
-@dataclass(frozen=True)
-class StackStep:
+class StackStep(NamedTuple):
     """State right after one machine action.
 
     ``stack_top_to_bottom`` is the stack read from its top; a push consumes
@@ -69,8 +67,7 @@ class StackStep:
     output_so_far: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StackTrace:
+class StackTrace(NamedTuple):
     machine: PatternSet
     input: Permutation
     steps: tuple[StackStep, ...]

@@ -12,7 +12,6 @@ it extends, and the stack machine on its stack with the patterns reversed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -60,8 +59,50 @@ class LengthTooLarge(ValueError):
     """Refusing to run an exhaustive scan past the configured length cap."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Frozen:
+    """Immutable base of the validated value types of every layer.
+
+    Each subclass names its fields in ``__slots__`` and sets them once, in
+    ``__init__``, through ``_freeze``; assigning or deleting one later raises
+    AttributeError.  Two values are equal when they have the same type and
+    equal fields, and the hash, the ``Name(field=value, ...)`` repr and
+    pickling follow the fields.  The methods are written out here, not
+    generated by the standard library's record decorator, because that
+    module imports ``inspect``, which slows the start of every CLI process.
+    """
+
+    __slots__ = ()
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Permutation(_Frozen):
     """A permutation of {1, ..., n} in one-line notation.
 
     >>> Permutation((2, 3, 1))
@@ -72,14 +113,14 @@ class Permutation:
     '2 3 1'
     """
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        if entries != self.entries:
-            object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        entries = tuple(entries)
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise NotABijection(f"not a permutation of 1..{len(entries)}: {entries!r}")
+        self._freeze(entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -230,8 +271,7 @@ def insert_max_at(x: Permutation, site: int) -> Permutation:
 # ---- patterns ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BivincularPattern:
+class BivincularPattern(_Frozen):
     """A classical pattern plus position- and value-adjacency constraints.
 
     ``adjacent_positions`` holds indices i in 1..m-1 forcing the occurrence
@@ -241,13 +281,18 @@ class BivincularPattern:
     full permutation that means the two entries differ by exactly 1.
     """
 
+    __slots__ = ("base", "adjacent_positions", "adjacent_values")
     base: Permutation
-    adjacent_positions: frozenset[int] = frozenset()
-    adjacent_values: frozenset[int] = frozenset()
+    adjacent_positions: frozenset[int]
+    adjacent_values: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "adjacent_positions", frozenset(self.adjacent_positions))
-        object.__setattr__(self, "adjacent_values", frozenset(self.adjacent_values))
+    def __init__(
+        self,
+        base: Permutation,
+        adjacent_positions: Iterable[int] = frozenset(),
+        adjacent_values: Iterable[int] = frozenset(),
+    ) -> None:
+        self._freeze(base, frozenset(adjacent_positions), frozenset(adjacent_values))
         m = len(self.base)
         for i in self.adjacent_positions:
             if not 1 <= i <= m - 1:
@@ -269,12 +314,19 @@ STAR_123 = BivincularPattern(PATTERN_123, frozenset({2}), frozenset({2}))
 STAR_132 = BivincularPattern(PATTERN_132, frozenset({2}), frozenset({2}))
 
 
-@dataclass(frozen=True)
-class PatternSet:
+class PatternSet(_Frozen):
     """The patterns a stack is forbidden from containing, split by kind."""
 
-    classical: tuple[Permutation, ...] = ()
-    bivincular: tuple[BivincularPattern, ...] = ()
+    __slots__ = ("classical", "bivincular")
+    classical: tuple[Permutation, ...]
+    bivincular: tuple[BivincularPattern, ...]
+
+    def __init__(
+        self,
+        classical: tuple[Permutation, ...] = (),
+        bivincular: tuple[BivincularPattern, ...] = (),
+    ) -> None:
+        self._freeze(classical, bivincular)
 
     @classmethod
     def of(cls, *patterns: Permutation | BivincularPattern) -> "PatternSet":
@@ -459,6 +511,11 @@ def _ends_at(word: Sequence[int], v: int, compiled) -> bool:
     return False
 
 
+def _require_generation_cap(n: int) -> None:
+    if n > DEFAULT_GENERATION_CAP:
+        raise LengthTooLarge(f"n={n} above the generation cap {DEFAULT_GENERATION_CAP}")
+
+
 def avoiders(
     n: int,
     patterns: "PatternSet | Iterable[Permutation | BivincularPattern]",
@@ -476,8 +533,7 @@ def avoiders(
     patterns = PatternSet.coerce(patterns)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > DEFAULT_GENERATION_CAP:
-        raise LengthTooLarge(f"n={n} above the generation cap {DEFAULT_GENERATION_CAP}")
+    _require_generation_cap(n)
     compiled = _compile_classical(tuple(p.entries for p in patterns.classical))
     bivincular = patterns.bivincular
 

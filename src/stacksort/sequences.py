@@ -9,9 +9,10 @@ in fixed-width integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+
+from .perms import _Frozen
 
 INT128_MAX = 2**127 - 1
 DEFAULT_N_MAX = 60
@@ -35,15 +36,16 @@ def _check128(value: int, context: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class SequenceTable(_Frozen):
     """A named, offset-indexed prefix of an integer sequence."""
 
+    __slots__ = ("name", "offset", "terms")
     name: str
     offset: int
     terms: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, offset: int, terms: tuple[int, ...]) -> None:
+        self._freeze(name, offset, terms)
         for k, term in enumerate(self.terms):
             if term < 0:
                 raise ValueError(f"{self.name}[{self.offset + k}] is negative")

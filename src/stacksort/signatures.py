@@ -31,16 +31,15 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .perms import (
-    DEFAULT_GENERATION_CAP,
     PATTERN_123,
     PATTERN_132,
-    LengthTooLarge,
     Permutation,
     PatternSet,
     avoiders,
     contains_classical,
     insert_max_at,
     smallest_k,
+    _require_generation_cap,
     _word_contains,
 )
 
@@ -198,8 +197,7 @@ def avoider_with_signature(sig: tuple[int, ...], target: Permutation) -> Permuta
     ''
     """
     n = len(sig)
-    if n > DEFAULT_GENERATION_CAP:
-        raise LengthTooLarge(f"n={n} above the generation cap {DEFAULT_GENERATION_CAP}")
+    _require_generation_cap(n)
     y = Permutation(())
     for k in range(n - 1, -1, -1):
         found = [child for count, child in _children(y, target) if count == sig[k]]
@@ -232,6 +230,9 @@ def west_map(x: Permutation, source: Permutation, target: Permutation) -> Permut
     """
     if (source, target) not in DIRECTIONS:
         raise ValueError("matching is defined between 132-avoiders and 123-avoiders only")
+    # the decoder refuses the same lengths, but only after the signature,
+    # which costs far more than the answer at any length past the cap
+    _require_generation_cap(len(x))
     if contains_classical(x, source):
         raise SourceNotAvoider(f"{x} contains {source}")
     return avoider_with_signature(signature(x, source), target)

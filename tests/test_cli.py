@@ -4,7 +4,6 @@ import importlib.util
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import stacksort
-from stacksort import cli, harness, suites
+from stacksort import cli, harness, signatures, suites
 from stacksort.cli import build_parser, run
 from stacksort.perms import SUITE_CAPS, Permutation
 from stacksort.sequences import Overflow, schroder_large
@@ -128,19 +127,14 @@ def test_enumerate_rescans_an_entry_it_cannot_read(capsys, tmp_path):
     assert code == 0
     assert out == "machine 132+321, n=5: 26 sortable permutations\n"
     # the directory in the entry's place also blocks the store, whose
-    # message names the store's randomly named temporary file
-    discard, store, note = err.splitlines(keepends=True)
-    assert discard == (
+    # message names the entry, not the store's randomly named temporary file
+    assert err == (
         f"warning: discarding unreadable cache entry {entry.name}:"
         f" [Errno 21] Is a directory: '{entry}'\n"
+        f"warning: could not store the result in the cache:"
+        f" [Errno 21] Is a directory: '{entry}'\n"
+        "scanned in 5 blocks\n"
     )
-    assert re.fullmatch(
-        re.escape(f"warning: could not store the result in the cache: [Errno 21]"
-                  f" Is a directory: '{tmp_path}/")
-        + r"tmp\w+\.tmp' -> " + re.escape(f"'{entry}'\n"),
-        store,
-    )
-    assert note == "scanned in 5 blocks\n"
 
 
 def test_enumerate_prints_the_result_when_the_cache_cannot_store(capsys, tmp_path):
@@ -237,6 +231,12 @@ def test_signature_golden(capsys):
     assert out.splitlines()[0] == "4.4.3.3.2"
 
 
+@pytest.mark.parametrize("sigma", ["12", "321", "1234"])
+def test_signature_refuses_a_sigma_other_than_123_or_132(capsys, sigma):
+    code, out, err = invoke(capsys, "signature", "--perm", "2413", "--sigma", sigma)
+    assert (code, out, err) == (2, "", f"error: --sigma takes 123 or 132, got '{sigma}'\n")
+
+
 def test_west_map_golden(capsys):
     code, out, _ = invoke(
         capsys, "west-map", "--perm", "45231", "--sigma", "132", "--tau", "123"
@@ -261,6 +261,22 @@ def test_west_map_refuses_past_the_generation_cap(capsys):
             capsys, "west-map", "--perm", perm, "--sigma", sigma, "--tau", tau
         )
         assert (code, out, err) == (2, "", "error: n=13 above the generation cap 12\n")
+
+
+def test_west_map_refuses_an_over_long_perm_before_computing_its_signature(
+    capsys, monkeypatch
+):
+    def no_signature(x, y):
+        raise AssertionError("signature computed for a refused input")
+
+    monkeypatch.setattr(signatures, "signature", no_signature)
+    monkeypatch.setattr(cli, "signature", no_signature)
+    perm = " ".join(str(v) for v in range(100, 0, -1))
+    for sigma, tau in (("132", "123"), ("123", "132")):
+        code, out, err = invoke(
+            capsys, "west-map", "--perm", perm, "--sigma", sigma, "--tau", tau
+        )
+        assert (code, out, err) == (2, "", "error: n=100 above the generation cap 12\n")
 
 
 def test_dyck_perm_golden(capsys):
@@ -548,8 +564,35 @@ def test_each_subcommand_loads_only_the_layers_it_runs(
         f"stacksort.{layer}" for layer in layers
     }
     assert set(cli.COMMAND_LAYERS[argv[0]]) <= set(layers)
-    # text output needs no csv writer, and a run that succeeds no traceback
-    assert not {"csv", "traceback"} & (loaded - bare_interpreter_modules)
+    # text output needs no csv writer, a run that succeeds no traceback, and
+    # no layer defines its records with dataclasses (which loads inspect)
+    added = loaded - bare_interpreter_modules
+    assert not {"csv", "traceback", "dataclasses", "inspect"} & added
+    # only the cache in harness reads and writes JSON
+    assert "harness" in layers or "json" not in added
+
+
+def _imported_by(*args: str) -> set[str]:
+    """The modules python -X importtime reports for a fresh interpreter run."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+    )
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:") and not line.endswith("imported package")
+    }
+
+
+def test_the_entry_point_loads_only_what_a_text_trace_runs():
+    loaded = _imported_by(
+        "-m", "stacksort.cli", "trace", "--sigma", "132", "--tau", "321", "--perm", "4213"
+    )
+    # run as __main__, the CLI module itself is not imported by name
+    assert _package_modules(loaded) == {"stacksort", "stacksort.perms", "stacksort.machine"}
+    added = loaded - _imported_by("-c", "pass")
+    assert not {"csv", "traceback", "dataclasses", "inspect", "json"} & added
 
 
 def test_every_exported_name_resolves_to_its_definition():

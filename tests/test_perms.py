@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 from itertools import permutations as iter_perms
 
@@ -6,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from stacksort.dyck import BSequence, DyckPath
+from stacksort.harness import EnumerationResult, VerificationReport
 from stacksort.perms import (
     STAR_123,
     STAR_132,
@@ -31,6 +34,7 @@ from stacksort.perms import (
     smallest_k,
     swap12,
 )
+from stacksort.sequences import SequenceTable
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(
     lambda xs: Permutation(tuple(xs))
@@ -219,3 +223,75 @@ def test_pattern_set_deduplicates():
     s = PatternSet.of(p, p, STAR_132, STAR_132)
     assert len(s.classical) == 1
     assert len(s.bivincular) == 1
+
+
+P132 = Permutation((1, 3, 2))
+#: Two equal builds of each immutable value type, a different value of the
+#: same type, one field name, and the repr text of the first.
+VALUE_TYPES = [
+    (lambda: Permutation((2, 3, 1)), Permutation((2, 1, 3)), "entries", "Permutation((2, 3, 1))"),
+    (
+        lambda: BivincularPattern(P132, {2}, [2]),
+        BivincularPattern(P132, {2}),
+        "adjacent_values",
+        "BivincularPattern(base=Permutation((1, 3, 2)), adjacent_positions=frozenset({2}),"
+        " adjacent_values=frozenset({2}))",
+    ),
+    (
+        lambda: PatternSet.of(P132, STAR_123),
+        PatternSet.of(P132),
+        "bivincular",
+        "PatternSet(classical=(Permutation((1, 3, 2)),), bivincular=(BivincularPattern("
+        "base=Permutation((1, 2, 3)), adjacent_positions=frozenset({2}),"
+        " adjacent_values=frozenset({2})),))",
+    ),
+    (lambda: DyckPath("udud"), DyckPath("uudd"), "word", "DyckPath(word='udud')"),
+    (lambda: BSequence((3, 2, 2)), BSequence((3, 3, 3)), "b", "BSequence(b=(3, 2, 2))"),
+    (
+        lambda: SequenceTable("g", 0, (1, 1, 2)),
+        SequenceTable("g", 1, (1, 1, 2)),
+        "terms",
+        "SequenceTable(name='g', offset=0, terms=(1, 1, 2))",
+    ),
+    (
+        lambda: EnumerationResult(("132",), 1, 1, (Permutation((1,)),), 1),
+        EnumerationResult(("132",), 1, 1, None, 1),
+        "count",
+        "EnumerationResult(machine=('132',), n=1, count=1,"
+        " witnesses=(Permutation((1,)),), worker_partitions=1)",
+    ),
+    (
+        lambda: VerificationReport("c", (1, 2), "pass"),
+        VerificationReport("c", (1, 2), "skip"),
+        "status",
+        "VerificationReport(claim_id='c', n_range=(1, 2), status='pass',"
+        " counterexamples=(), detail='')",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build,other,field,text",
+    VALUE_TYPES,
+    ids=[type(other).__name__ for _, other, _, _ in VALUE_TYPES],
+)
+def test_value_types_compare_hash_print_and_pickle_by_their_fields(build, other, field, text):
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other and not a == other
+    assert repr(a) == text
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+    # --workers 2 sends patterns to the worker processes by pickle
+    copy = pickle.loads(pickle.dumps(a))
+    assert type(copy) is type(a) and copy == a and repr(copy) == text
+
+
+def test_equal_fields_do_not_make_values_of_different_types_equal():
+    assert Permutation((1,)) != BSequence((1,))
+    assert Permutation((1,)) != ((1,),)
