@@ -6,7 +6,8 @@ counting sequences directly.  Data goes to stdout, diagnostics to stderr,
 and output bytes are deterministic: nothing here consults a clock, a
 random source, or unordered iteration.
 
-Importing this module loads only ``perms``.  Each subcommand then loads
+Importing this module loads only ``perms``, which also reads every
+permutation and pattern argument.  Each subcommand then loads
 the layers it calls (COMMAND_LAYERS) and nothing else, binding each layer's
 public names here from the package's one export table (``stacksort._EXPORTS``):
 
@@ -48,14 +49,14 @@ from typing import TYPE_CHECKING, NamedTuple
 import stacksort
 
 from .perms import (
-    STAR_123,
-    STAR_132,
     SUITE_CAPS,
     BivincularPattern,
     LengthTooLarge,
     MalformedToken,
     Permutation,
+    contains_classical,
     format_permutation,
+    parse_pattern,
     parse_permutation,
     pattern_name,
 )
@@ -103,20 +104,8 @@ PERM_LENGTH_LIMIT = 100
 #: here; the first term that does not is the large Schroder number S_54.
 SEQUENCES_N_MAX = 53
 
-#: Keyword tokens for the two bivincular patterns the machines care about.
-STAR_TOKENS = {"132-star": STAR_132, "123-star": STAR_123}
-
-
-def _parse_pattern(token: str) -> Permutation | BivincularPattern:
-    if token in STAR_TOKENS:
-        return STAR_TOKENS[token]
-    if token.isdecimal():
-        return Permutation.from_digits(token)
-    return parse_permutation(token)
-
-
 def _parse_perm(token: str) -> Permutation:
-    x = Permutation.from_digits(token) if token.isdecimal() else parse_permutation(token)
+    x = parse_permutation(token)
     if len(x) > PERM_LENGTH_LIMIT:
         raise LengthTooLarge(
             f"--perm has length {len(x)}, above the limit {PERM_LENGTH_LIMIT}"
@@ -125,7 +114,7 @@ def _parse_perm(token: str) -> Permutation:
 
 
 def _classical_pattern(token: str, flag: str) -> Permutation:
-    p = _parse_pattern(token)
+    p = parse_pattern(token)
     if isinstance(p, BivincularPattern):
         raise MalformedToken(f"{flag} takes a classical pattern, got {token!r}")
     return p
@@ -159,8 +148,8 @@ def _render_trace_steps(trace: StackTrace) -> list[str]:
 
 def _cmd_trace(args: argparse.Namespace) -> Answer:
     x = _parse_perm(args.perm)
-    sigma = _parse_pattern(args.sigma)
-    tau = _parse_pattern(args.tau)
+    sigma = parse_pattern(args.sigma)
+    tau = parse_pattern(args.tau)
     mid, first = pattern_stack_pass(x, machine_patterns(sigma, tau), want_trace=True)
     out, second = west_pass(mid, want_trace=True)
     sorted_ok = out.is_identity
@@ -233,6 +222,8 @@ def _cmd_signature(args: argparse.Namespace) -> Answer:
     y = _classical_pattern(args.sigma, "--sigma")
     if pattern_name(y) not in ("123", "132"):
         raise ValueError(f"--sigma takes 123 or 132, got {args.sigma!r}")
+    if contains_classical(x, y):
+        raise ValueError(f"{x} contains {y}")
     sig = signature(x, y)
     plateau = has_plateau(sig)
     lines = [format_signature(sig)]

@@ -234,16 +234,20 @@ def contains_factor(p: DyckPath, w: str) -> bool:
     return w in p.word
 
 
+def _require_semilength(n: int) -> None:
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    if n > DEFAULT_SEMILENGTH_CAP:
+        raise SemilengthTooLarge(f"semilength {n} above the cap {DEFAULT_SEMILENGTH_CAP}")
+
+
 def dyck_paths(n: int) -> Iterator[DyckPath]:
     """All Dyck paths of semilength n, in lexicographic order with u < d.
 
     >>> [str(p) for p in dyck_paths(2)]
     ['uudd', 'udud']
     """
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    if n > DEFAULT_SEMILENGTH_CAP:
-        raise SemilengthTooLarge(f"semilength {n} above the cap {DEFAULT_SEMILENGTH_CAP}")
+    _require_semilength(n)
 
     word: list[str] = []
 
@@ -294,10 +298,7 @@ def count_dyck_avoiding(n: int, w: str) -> int:
     >>> count_dyck_avoiding(3, "")
     0
     """
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    if n > DEFAULT_SEMILENGTH_CAP:
-        raise SemilengthTooLarge(f"semilength {n} above the cap {DEFAULT_SEMILENGTH_CAP}")
+    _require_semilength(n)
     if not w:
         return 0
     automaton = _factor_automaton(w)

@@ -46,6 +46,7 @@ from .perms import (
     _Frozen,
     format_permutation,
     index_of,
+    parse_permutation,
     pattern_name,
 )
 
@@ -114,11 +115,7 @@ class EnumerationResult(_Frozen):
             tuple(data["machine"]),
             data["n"],
             data["count"],
-            None
-            if witnesses is None
-            else tuple(
-                Permutation(tuple(int(t) for t in w.split())) for w in witnesses
-            ),
+            None if witnesses is None else tuple(parse_permutation(w) for w in witnesses),
             data["worker_partitions"],
         )
 

@@ -46,6 +46,10 @@ class DegeneratePair(ValueError):
     """The two-stack machine needs two distinct patterns."""
 
 
+class InvalidTrace(AssertionError):
+    """A recorded pass breaks an invariant; raised even under ``python -O``."""
+
+
 PUSH = "PUSH"
 POP_BLOCKED = "POP_BLOCKED"
 POP_FLUSH = "POP_FLUSH"
@@ -256,7 +260,7 @@ def is_sortable(x: Permutation, sigma: Permutation, tau: Permutation) -> bool:
 
 
 def validate_trace(trace: StackTrace) -> None:
-    """Assert the mechanical invariants of a recorded pass.
+    """Raise InvalidTrace unless a recorded pass keeps the machine's invariants.
 
     Checks conservation (input, stack and output always partition the
     entries), stack legality after every step, and greediness: every blocked
@@ -265,6 +269,10 @@ def validate_trace(trace: StackTrace) -> None:
     """
     patterns = trace.machine
     full = sorted(trace.input.entries)
+
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise InvalidTrace(what)
 
     def stack_legal(word: tuple[int, ...]) -> bool:
         return not (
@@ -276,26 +284,25 @@ def validate_trace(trace: StackTrace) -> None:
     prev_stack: tuple[int, ...] = ()
     prev_out: tuple[int, ...] = ()
     for step in trace.steps:
-        combined = sorted(step.input_rest + step.stack_top_to_bottom + step.output_so_far)
-        assert combined == full, "conservation violated"
-        assert stack_legal(step.stack_top_to_bottom), "stack holds a forbidden pattern"
+        moved, rest = step.moved_value, step.input_rest
+        stack, out = step.stack_top_to_bottom, step.output_so_far
+        require(sorted(rest + stack + out) == full, "conservation violated")
+        require(stack_legal(stack), "stack holds a forbidden pattern")
         if step.action == PUSH:
-            assert prev_rest and step.moved_value == prev_rest[0]
-            assert step.input_rest == prev_rest[1:]
-            assert step.stack_top_to_bottom == (step.moved_value,) + prev_stack
-            assert step.output_so_far == prev_out
+            require(prev_rest and moved == prev_rest[0], "pushed value is not the next input")
+            require(rest == prev_rest[1:], "push did not consume its input")
+            require(stack == (moved,) + prev_stack, "push did not land on the stack")
+            require(out == prev_out, "push changed the output")
         else:
-            assert prev_stack and step.moved_value == prev_stack[0]
-            assert step.stack_top_to_bottom == prev_stack[1:]
-            assert step.output_so_far == prev_out + (step.moved_value,)
-            assert step.input_rest == prev_rest
+            require(prev_stack and moved == prev_stack[0], "popped value is not the stack top")
+            require(stack == prev_stack[1:], "pop did not leave the stack")
+            require(out == prev_out + (moved,), "pop did not reach the output")
+            require(rest == prev_rest, "pop changed the input")
             if step.action == POP_BLOCKED:
-                assert prev_rest, "blocked pop with no pending input"
-                assert not stack_legal((prev_rest[0],) + prev_stack), "pop not justified"
+                require(prev_rest, "blocked pop with no pending input")
+                require(not stack_legal((prev_rest[0],) + prev_stack), "pop not justified")
             else:
-                assert step.action == POP_FLUSH and not prev_rest, "flush before input ran out"
-        prev_rest = step.input_rest
-        prev_stack = step.stack_top_to_bottom
-        prev_out = step.output_so_far
-    assert prev_rest == () and prev_stack == ()
-    assert prev_out == trace.output.entries
+                require(step.action == POP_FLUSH and not prev_rest, "flush before input ran out")
+        prev_rest, prev_stack, prev_out = rest, stack, out
+    require(prev_rest == () and prev_stack == (), "input or stack left over")
+    require(prev_out == trace.output.entries, "output differs from the recorded output")

@@ -5,6 +5,9 @@ boundary is 1-based, so worked examples from the enumerative-combinatorics
 literature can be typed in verbatim and checked by eye.  Internal helpers that
 operate on raw ``tuple[int, ...]`` words use ordinary Python indexing.
 
+``parse_permutation`` and ``parse_pattern`` are the package's one reader of
+permutation and pattern text, the inverses of ``str`` and ``pattern_name``.
+
 ``_ends_at`` is the one new-entry test: ``avoiders`` runs it on each prefix
 it extends, and the stack machine on its stack with the patterns reversed.
 """
@@ -156,13 +159,17 @@ def identity(n: int) -> Permutation:
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse one-line notation with whitespace or comma separators.
+    """Parse one-line notation: whitespace or comma separators, or one digit per entry.
 
     >>> parse_permutation("2 3 1 4")
     Permutation((2, 3, 1, 4))
     >>> parse_permutation("2, 3, 1, 4")
     Permutation((2, 3, 1, 4))
+    >>> parse_permutation("2314")
+    Permutation((2, 3, 1, 4))
     """
+    if text.isdecimal():
+        return Permutation.from_digits(text)
     tokens = text.replace(",", " ").split()
     values = []
     for tok in tokens:
@@ -369,6 +376,12 @@ def pattern_name(p: Permutation | BivincularPattern) -> str:
     return "".join(str(v) for v in p.entries)
 
 
+def parse_pattern(token: str) -> Permutation | BivincularPattern:
+    """The pattern ``pattern_name`` names: a starred name or a permutation."""
+    stars = {pattern_name(p): p for p in (STAR_123, STAR_132)}
+    return stars[token] if token in stars else parse_permutation(token)
+
+
 # ---- containment -------------------------------------------------------
 
 
@@ -383,22 +396,11 @@ def _order_iso(sub: Sequence[int], pat: Sequence[int]) -> bool:
 
 
 def _word_contains(word: Sequence[int], pat: Sequence[int]) -> bool:
-    """Classical containment on an arbitrary word of distinct integers."""
+    """Classical containment on an arbitrary word of distinct integers.
+
+    Length 3, the hot path of ``signature`` and ``west_map``, has its own loop.
+    """
     n, m = len(word), len(pat)
-    if m > n:
-        return False
-    if m == 0:
-        return True
-    if m == 1:
-        return n >= 1
-    if m == 2:
-        asc = pat[0] < pat[1]
-        for i in range(n - 1):
-            wi = word[i]
-            for j in range(i + 1, n):
-                if (wi < word[j]) == asc:
-                    return True
-        return False
     if m == 3:
         p01, p02, p12 = pat[0] < pat[1], pat[0] < pat[2], pat[1] < pat[2]
         for i in range(n - 2):

@@ -1,16 +1,5 @@
 import sys
 from pathlib import Path
 
-from hypothesis import HealthCheck, settings
-
 # the oracle helpers live next to the tests, not inside the package
 sys.path.insert(0, str(Path(__file__).parent))
-
-settings.register_profile(
-    "suite",
-    derandomize=True,
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile("suite")

@@ -82,8 +82,9 @@ def west(word):
     return west(word[:i]) + west(word[i + 1 :]) + (word[i],)
 
 
-def machine_sorts(word, sigma, tau):
-    mid = stack_pass(word, classical=(sigma, tau))
+def machine_sorts(word, *patterns):
+    """Does the machine whose first stack avoids the classical patterns sort word?"""
+    mid = stack_pass(word, classical=patterns)
     return west(mid) == tuple(sorted(word))
 
 

@@ -237,6 +237,16 @@ def test_signature_refuses_a_sigma_other_than_123_or_132(capsys, sigma):
     assert (code, out, err) == (2, "", f"error: --sigma takes 123 or 132, got '{sigma}'\n")
 
 
+@pytest.mark.parametrize("argv,err", [
+    (("signature", "--perm", "132", "--sigma", "132"), "error: 1 3 2 contains 1 3 2\n"),
+    (("signature", "--perm", "2134", "--sigma", "123"), "error: 2 1 3 4 contains 1 2 3\n"),
+    (("west-map", "--perm", "132", "--sigma", "132", "--tau", "123"),
+     "error: 1 3 2 contains 1 3 2\n"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_signature_and_west_map_refuse_a_perm_that_contains_sigma(capsys, argv, err):
+    assert invoke(capsys, *argv) == (2, "", err)
+
+
 def test_west_map_golden(capsys):
     code, out, _ = invoke(
         capsys, "west-map", "--perm", "45231", "--sigma", "132", "--tau", "123"

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
+from itertools import combinations
 from itertools import permutations as iter_perms
+from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import oracles
+import stacksort
 from stacksort.machine import (
     DegeneratePair,
     EmptyPatternSet,
@@ -22,14 +26,11 @@ from stacksort.perms import (
     PatternSet,
     Permutation,
     identity,
+    parse_pattern,
     parse_permutation,
 )
 
 P = Permutation.from_digits
-
-perms = lambda n: st.permutations(list(range(1, n + 1))).map(
-    lambda xs: Permutation(tuple(xs))
-)
 
 
 def all_perms(n):
@@ -80,15 +81,15 @@ def test_star_pass_against_naive_engine():
             assert fast.entries == slow, x
 
 
-@given(perms(8))
-def test_west_pass_matches_recursive_description(x):
-    assert west_pass(x).entries == oracles.west(x.entries)
+def test_west_pass_matches_recursive_description():
+    for x in all_perms(8):
+        assert west_pass(x).entries == oracles.west(x.entries)
 
 
-@given(perms(8))
-def test_machine_output_is_permutation(x):
-    out = machine(x, P("132"), P("321"))
-    assert sorted(out.entries) == list(range(1, 9))
+def test_machine_output_is_permutation():
+    for x in all_perms(8):
+        out = machine(x, P("132"), P("321"))
+        assert sorted(out.entries) == list(range(1, 9))
 
 
 def test_sortable_iff_intermediate_avoids_231():
@@ -155,6 +156,27 @@ def test_validate_trace_rejects_tampering():
         validate_trace(broken)
 
 
+def test_validate_trace_rejects_tampering_under_python_O():
+    # python -O strips assert statements; the trace checks must not be them
+    script = """
+from stacksort.machine import InvalidTrace, StackTrace, pattern_stack_pass, validate_trace
+from stacksort.perms import PatternSet, Permutation
+P = Permutation.from_digits
+_, trace = pattern_stack_pass(P("2314"), PatternSet.of(P("132"), P("321")), want_trace=True)
+broken = StackTrace(trace.machine, trace.input, trace.steps[::-1], trace.output)
+try:
+    validate_trace(broken)
+except InvalidTrace as error:
+    print("refused:", error)
+"""
+    src = str(Path(stacksort.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert done.stdout.startswith("refused: "), done.stdout
+
+
 def test_trace_json_shape():
     _, trace = pattern_stack_pass(
         P("2314"), PatternSet.of(P("132"), P("321")), want_trace=True
@@ -174,6 +196,29 @@ def test_trace_json_shape():
 def test_pattern_names():
     assert pattern_name(P("132")) == "132"
     assert pattern_name(STAR_132) == "132-star"
+    for p in (P("132"), P("2413"), STAR_123, STAR_132):
+        assert parse_pattern(pattern_name(p)) == p
+
+
+def test_deleting_the_last_entry_keeps_a_word_sortable():
+    # the lemma behind growing the sortable set at its last entry: the
+    # standardized prefix of a sortable word is sortable, for every pair of
+    # distinct 3-patterns and the single patterns 123, 132 and 321
+    threes = [P(d) for d in ("123", "132", "213", "231", "312", "321")]
+    machines = list(combinations(threes, 2)) + [(P("123"),), (P("132"),), (P("321"),)]
+    for patterns in machines:
+        entries = [p.entries for p in patterns]
+        shorter = {()}
+        for n in range(1, 7):
+            sortable = set()
+            for x in all_perms(n):
+                sorts = oracles.machine_sorts(x.entries, *entries)
+                mid = pattern_stack_pass(x, PatternSet.of(*patterns))
+                assert sorts == west_pass(mid).is_identity, (x, patterns)
+                if sorts:
+                    sortable.add(x.entries)
+                    assert oracles.rank_word(x.entries[:-1]) in shorter, (x, patterns)
+            shorter = sortable
 
 
 def test_machine_counts_at_small_lengths():
