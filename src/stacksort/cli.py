@@ -7,13 +7,14 @@ and output bytes are deterministic: nothing here consults a clock, a
 random source, or unordered iteration.
 
 Importing this module loads only ``perms``, which also reads every
-permutation and pattern argument.  Each subcommand then loads
-the layers it calls (COMMAND_LAYERS) and nothing else, binding each layer's
-public names here from the package's one export table (``stacksort._EXPORTS``):
+permutation and pattern argument.  Each handler loads the layers it calls,
+where it calls them, with ``_load``, which binds each layer's public names
+here from the package's one export table (``stacksort._EXPORTS``):
 
     trace                         machine
-    signature, west-map           machine, signatures
-    dyck                          dyck, sequences
+    signature, west-map           signatures
+    dyck --perm                   dyck
+    dyck --n                      dyck, sequences
     sequences                     sequences
     enumerate (cache hit)         harness
     enumerate (scan), conjecture  harness, machine
@@ -49,6 +50,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import stacksort
 
 from .perms import (
+    PERM_LENGTH_LIMIT,
     SUITE_CAPS,
     BivincularPattern,
     LengthTooLarge,
@@ -64,24 +66,13 @@ from .perms import (
 if TYPE_CHECKING:
     from .machine import StackTrace
 
-#: The layers each subcommand calls into.
-COMMAND_LAYERS = {
-    "trace": ("machine",),
-    "signature": ("machine", "signatures"),
-    "west-map": ("machine", "signatures"),
-    "dyck": ("dyck", "sequences"),
-    "sequences": ("sequences",),
-    "enumerate": ("harness",),
-    "verify": ("harness",),
-    "conjecture": ("harness",),
-}
-
 
 def _load(layer: str) -> None:
-    # run() binds a command's layers as module globals before its handler
-    # runs, and attribute access (module __getattr__) binds them on demand.
-    # Both use setdefault, so a value already set on this module, such as a
-    # test's monkeypatch or a tracing wrapper, is the one the handlers call.
+    # Each handler binds the layers it calls as module globals before it
+    # calls them, and attribute access (module __getattr__) binds them on
+    # demand.  Both use setdefault, so a value already set on this module,
+    # such as a test's monkeypatch or a tracing wrapper, is the one the
+    # handlers call.
     for name in stacksort._EXPORTS[layer]:
         globals().setdefault(name, getattr(stacksort, name))
 
@@ -94,11 +85,6 @@ def __getattr__(name: str):
 
 
 FORMATS = ("text", "json", "csv")
-
-#: Longest --perm that trace, signature, west-map and dyck --perm accept.
-#: The slowest of them, signature of the decreasing permutation, takes about
-#: 1.5 s at length 100 and 18 s at length 200.
-PERM_LENGTH_LIMIT = 100
 
 #: Largest --n-max for sequences.  Every printed table fits in 128 bits up to
 #: here; the first term that does not is the large Schroder number S_54.
@@ -150,6 +136,7 @@ def _cmd_trace(args: argparse.Namespace) -> Answer:
     x = _parse_perm(args.perm)
     sigma = parse_pattern(args.sigma)
     tau = parse_pattern(args.tau)
+    _load("machine")
     mid, first = pattern_stack_pass(x, machine_patterns(sigma, tau), want_trace=True)
     out, second = west_pass(mid, want_trace=True)
     sorted_ok = out.is_identity
@@ -180,6 +167,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> Answer:
     sigma = _classical_pattern(args.sigma, "--sigma")
     tau = _classical_pattern(args.tau, "--tau") if args.tau else None
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
+    _load("harness")
     # A cache entry that cannot be trusted or stored warns; it prints as one
     # line that names no source file, before the note on how it was answered.
     with warnings.catch_warnings(record=True) as caught:
@@ -199,6 +187,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> Answer:
 
 def _cmd_verify(args: argparse.Namespace) -> Answer:
     names = list(SUITE_CAPS) if args.suite == "all" else [args.suite]
+    _load("harness")
     reports = run_suites(names, args.n_max, workers=args.workers)
     passed = all(r.passed for r in reports)
     blocks = [r.render_text() for r in reports]
@@ -224,6 +213,7 @@ def _cmd_signature(args: argparse.Namespace) -> Answer:
         raise ValueError(f"--sigma takes 123 or 132, got {args.sigma!r}")
     if contains_classical(x, y):
         raise ValueError(f"{x} contains {y}")
+    _load("signatures")
     sig = signature(x, y)
     plateau = has_plateau(sig)
     lines = [format_signature(sig)]
@@ -244,6 +234,7 @@ def _cmd_west_map(args: argparse.Namespace) -> Answer:
     x = _parse_perm(args.perm)
     source = _classical_pattern(args.sigma, "--sigma")
     target = _classical_pattern(args.tau, "--tau")
+    _load("signatures")
     image = west_map(x, source, target)
     sig = signature(x, source)
     return Answer(
@@ -259,6 +250,7 @@ def _cmd_west_map(args: argparse.Namespace) -> Answer:
 
 
 def _cmd_dyck(args: argparse.Namespace) -> Answer:
+    _load("dyck")
     if args.perm is not None:
         x = _parse_perm(args.perm)
         b = rotem_b_sequence(x)
@@ -277,6 +269,7 @@ def _cmd_dyck(args: argparse.Namespace) -> Answer:
         )
     n = args.n
     avoiding = count_dyck_avoiding(n, FACTOR_DUDU)  # refuses n outside 0..cap first
+    _load("sequences")
     total = catalan(n)[n]
     return Answer(
         f"Dyck paths of semilength {n}: {total}, avoiding dudu: {avoiding}",
@@ -309,6 +302,7 @@ def _cmd_sequences(args: argparse.Namespace) -> Answer:
             f"sequences runs for n_max in 0..{SEQUENCES_N_MAX}, where every table"
             f" fits in 128 bits; got {args.n_max}"
         )
+    _load("sequences")
     tables = _sequence_tables(args.n_max)
     lines = [
         f"{t.name} (from n={t.offset}): {' '.join(str(v) for v in t.terms)}"
@@ -323,6 +317,7 @@ def _cmd_sequences(args: argparse.Namespace) -> Answer:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> Answer:
+    _load("harness")
     table_a, table_b, report = conjecture_tables(args.n, workers=args.workers)
     return Answer(
         "\n".join(t.render_text() for t in (table_a, table_b, report)),
@@ -432,8 +427,6 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for layer in COMMAND_LAYERS[args.command]:
-            _load(layer)
         answer = args.handler(args)
         if args.format == "json":
             import json

@@ -92,8 +92,11 @@ class EnumerationResult(_Frozen):
         worker_partitions: int,
     ) -> None:
         self._freeze(machine, n, count, witnesses, worker_partitions)
-        if self.witnesses is not None and len(self.witnesses) != self.count:
+        if witnesses is not None and len(witnesses) != count:
             raise ValueError("witness list disagrees with the count")
+        for w in witnesses or ():
+            if len(w) != n:
+                raise ValueError(f"witness {w} has length {len(w)}, not n={n}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -33,6 +33,8 @@ from typing import Mapping
 from .perms import (
     PATTERN_123,
     PATTERN_132,
+    PERM_LENGTH_LIMIT,
+    LengthTooLarge,
     Permutation,
     PatternSet,
     avoiders,
@@ -86,7 +88,8 @@ def signature(x: Permutation, y: Permutation) -> tuple[int, ...]:
     Entry j counts the active sites of the sub-permutation formed by the
     len(x)+1-j smallest values of x.  The first entry looks at x itself,
     the last at a singleton, which always has both sites active, so every
-    nonempty signature ends in 2.
+    nonempty signature ends in 2.  The cost grows about as len(x)**3.6, so
+    lengths above PERM_LENGTH_LIMIT raise LengthTooLarge before any work.
 
     >>> signature(Permutation.from_digits("45231"), PATTERN_132)
     (4, 4, 3, 3, 2)
@@ -96,6 +99,8 @@ def signature(x: Permutation, y: Permutation) -> tuple[int, ...]:
     (2, 2, 2)
     """
     m = len(x)
+    if m > PERM_LENGTH_LIMIT:
+        raise LengthTooLarge(f"n={m} above the signature limit {PERM_LENGTH_LIMIT}")
     return tuple(
         len(active_sites(smallest_k(x, m + 1 - j), y)) for j in range(1, m + 1)
     )

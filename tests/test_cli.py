@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -134,6 +135,30 @@ def test_enumerate_rescans_an_entry_it_cannot_read(capsys, tmp_path):
         f"warning: could not store the result in the cache:"
         f" [Errno 21] Is a directory: '{entry}'\n"
         "scanned in 5 blocks\n"
+    )
+
+
+def test_enumerate_rescans_cached_witnesses_of_the_wrong_length(capsys, tmp_path):
+    argv = (
+        "enumerate", "--sigma", "132", "--tau", "321", "--n", "2",
+        "--cache-dir", str(tmp_path), "--format", "json",
+    )
+    code, first, _ = invoke(capsys, *argv)
+    assert code == 0
+    (entry,) = tmp_path.glob("*.json")
+    doc = json.loads(entry.read_text())
+    doc["result"]["witnesses"] = ["1 2 3", "4 3 2 1"]
+    doc["checksum"] = hashlib.sha256(
+        harness._canonical(doc["result"]).encode()
+    ).hexdigest()
+    entry.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (0, first)
+    assert json.loads(out)["witnesses"] == ["1 2", "2 1"]
+    assert err == (
+        f"warning: discarding unreadable cache entry {entry.name}:"
+        " witness 1 2 3 has length 3, not n=2\n"
+        "scanned in 2 blocks\n"
     )
 
 
@@ -540,10 +565,9 @@ EVERY_LAYER = ("machine", "signatures", "dyck", "sequences", "harness")
 #: "{filled}" one that already holds the command's result.
 LAYERS_RUN = {
     ("trace", "--sigma", "132", "--tau", "321", "--perm", "4213"): ("machine",),
-    ("signature", "--perm", "45231", "--sigma", "132"): ("machine", "signatures"),
-    ("west-map", "--perm", "45231", "--sigma", "132", "--tau", "123"):
-        ("machine", "signatures"),
-    ("dyck", "--perm", "4213"): ("dyck", "sequences"),
+    ("signature", "--perm", "45231", "--sigma", "132"): ("signatures",),
+    ("west-map", "--perm", "45231", "--sigma", "132", "--tau", "123"): ("signatures",),
+    ("dyck", "--perm", "4213"): ("dyck",),
     ("dyck", "--n", "4"): ("dyck", "sequences"),
     ("sequences", "--n-max", "4"): ("sequences",),
     ("enumerate", "--sigma", "132", "--n", "3", "--cache-dir", "{tmp}"): ("machine", "harness"),
@@ -573,7 +597,6 @@ def test_each_subcommand_loads_only_the_layers_it_runs(
     assert _package_modules(loaded) == {"stacksort", "stacksort.cli", "stacksort.perms"} | {
         f"stacksort.{layer}" for layer in layers
     }
-    assert set(cli.COMMAND_LAYERS[argv[0]]) <= set(layers)
     # text output needs no csv writer, a run that succeeds no traceback, and
     # no layer defines its records with dataclasses (which loads inspect)
     added = loaded - bare_interpreter_modules
@@ -596,13 +619,18 @@ def _imported_by(*args: str) -> set[str]:
 
 
 def test_the_entry_point_loads_only_what_a_text_trace_runs():
-    loaded = _imported_by(
-        "-m", "stacksort.cli", "trace", "--sigma", "132", "--tau", "321", "--perm", "4213"
-    )
-    # run as __main__, the CLI module itself is not imported by name
-    assert _package_modules(loaded) == {"stacksort", "stacksort.perms", "stacksort.machine"}
-    added = loaded - _imported_by("-c", "pass")
-    assert not {"csv", "traceback", "dataclasses", "inspect", "json"} & added
+    bare = _imported_by("-c", "pass")
+    for argv, layer in (
+        (("trace", "--sigma", "132", "--tau", "321", "--perm", "4213"), "machine"),
+        (("signature", "--perm", "45231", "--sigma", "132"), "signatures"),
+    ):
+        loaded = _imported_by("-m", "stacksort.cli", *argv)
+        # run as __main__, the CLI module itself is not imported by name
+        assert _package_modules(loaded) == {
+            "stacksort", "stacksort.perms", f"stacksort.{layer}",
+        }, argv
+        added = loaded - bare
+        assert not {"csv", "traceback", "dataclasses", "inspect", "json"} & added, argv
 
 
 def test_every_exported_name_resolves_to_its_definition():
@@ -705,4 +733,6 @@ def test_parser_covers_all_subcommands():
         "trace", "enumerate", "verify", "signature",
         "west-map", "dyck", "sequences", "conjecture",
     }
-    assert set(cli.COMMAND_LAYERS) == subcommands
+    # every subcommand, and both dyck modes, has its loaded layers pinned
+    assert {argv[0] for argv in LAYERS_RUN} == subcommands
+    assert {argv[1] for argv in LAYERS_RUN if argv[0] == "dyck"} == {"--perm", "--n"}

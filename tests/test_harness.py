@@ -56,6 +56,8 @@ def test_workers_do_not_change_the_result():
 def test_result_validation():
     with pytest.raises(ValueError):
         EnumerationResult(("132", "321"), 3, 5, (P("123"),), 1)
+    with pytest.raises(ValueError, match="witness 1 2 has length 2, not n=3"):
+        EnumerationResult(("132", "321"), 3, 2, (P("123"), P("12")), 1)
 
 
 def test_result_json_round_trip():

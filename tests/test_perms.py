@@ -74,6 +74,8 @@ def test_index_of():
     x = parse_permutation("2 3 1 4")
     assert index_of(x, 3) == 2
     assert index_of(x, 4) == 4
+    with pytest.raises(ValueError, match=r"value 5 not in 1\.\.4"):
+        index_of(x, 5)
 
 
 def test_ltr_minima():

@@ -4,7 +4,16 @@ from itertools import permutations as iter_perms
 import pytest
 
 import oracles
-from stacksort.perms import STAR_123, STAR_132, PatternSet, Permutation, avoiders
+from stacksort import signatures
+from stacksort.perms import (
+    PERM_LENGTH_LIMIT,
+    STAR_123,
+    STAR_132,
+    LengthTooLarge,
+    PatternSet,
+    Permutation,
+    avoiders,
+)
 from stacksort.signatures import (
     DuplicateSignature,
     NoMatch,
@@ -30,6 +39,20 @@ def all_perms(n):
 def test_golden_signature():
     assert signature(P("45231"), P132) == (4, 4, 3, 3, 2)
     assert format_signature((4, 4, 3, 3, 2)) == "4.4.3.3.2"
+
+
+def test_signature_refuses_a_perm_past_the_length_limit_before_any_work(monkeypatch):
+    def no_work(x, y):
+        raise AssertionError("active_sites called on a refused input")
+
+    monkeypatch.setattr(signatures, "active_sites", no_work)
+    decreasing = Permutation(tuple(range(PERM_LENGTH_LIMIT + 1, 0, -1)))
+    with pytest.raises(LengthTooLarge) as exc:
+        signature(decreasing, P132)
+    assert str(exc.value) == "n=101 above the signature limit 100"
+    # at the limit the same call reaches its first active-site count
+    with pytest.raises(AssertionError):
+        signature(Permutation(decreasing.entries[1:]), P132)
 
 
 def test_golden_pair_maps_both_ways():
