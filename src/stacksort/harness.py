@@ -8,13 +8,14 @@ to the same bytes whatever the worker count.  ``enumerate_cached`` answers
 from a checksummed file per (machine, n) when it can and scans otherwise.
 Lengths above ``perms.DEFAULT_GENERATION_CAP`` are refused before any scan.
 
-Claims are checked by the suites in ``suites`` and by ``conjecture_tables``
-here, which compares the (132,213) and (213,312) machines on each statistic
-of ``STATISTICS``; that tuple alone names the statistics, their claim ids,
-JSON keys and text labels.  A failed check is reported with counterexamples
-rather than raised, so a false claim shows up loudly in the report and in
-the exit code without taking the rest of the suite down with it; a claim
-whose length range is empty is reported as skipped.
+``_report`` builds every suite's report from the claims it declares and
+the failures it yields.  ``conjecture_tables`` compares the (132,213) and
+(213,312) machines on each statistic of ``STATISTICS``; that tuple alone
+names the statistics, their claim ids, JSON keys and text labels.  A failed
+check is reported with counterexamples rather than raised, so a false claim
+shows up loudly in the report and in the exit code without taking the rest
+of the suite down with it; a claim whose length range is empty is reported
+as skipped.
 
 Importing this module loads only ``perms``.  The engine loads ``machine``
 when it scans and ``run_suites`` loads ``suites`` when it first runs, so a
@@ -32,7 +33,7 @@ import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .perms import (
     DEFAULT_GENERATION_CAP,
@@ -282,6 +283,9 @@ class SuiteReport(NamedTuple):
 
 _COUNTEREXAMPLE_LIMIT = 5
 
+#: One counterexample a suite yields to ``_report``: (claim id, n, detail).
+Failure = tuple[str, int, str]
+
 
 def _claim(
     claim_id: str,
@@ -301,6 +305,27 @@ def _claim(
     return VerificationReport(claim_id, (lo, hi), status, shown, detail)
 
 
+def _report(
+    suite: str,
+    n_max: int,
+    claims: Sequence[tuple[str, int]],
+    failures: Iterable[Failure],
+    fixed: Sequence[VerificationReport] = (),
+) -> SuiteReport:
+    """A suite's report: the ``fixed`` claims, then each (claim id, first
+    length) of ``claims`` checked up to n_max, failed by the (claim id, n,
+    detail) tuples of ``failures`` that name it.  A failure outside the
+    declared claims and lengths is a bug in the suite, so it raises."""
+    first = dict(claims)
+    found: dict[str, list[str]] = {claim_id: [] for claim_id in first}
+    for claim_id, n, detail in failures:
+        if claim_id not in first or not first[claim_id] <= n <= n_max:
+            raise RuntimeError(f"suite {suite} has no claim {claim_id!r} at n={n}")
+        found[claim_id].append(f"n={n}: {detail}")
+    checked = (_claim(claim_id, lo, n_max, found[claim_id]) for claim_id, lo in claims)
+    return SuiteReport(suite, n_max, (*fixed, *checked))
+
+
 def _require_n_max(n_max: int, suite: str) -> None:
     cap = SUITE_CAPS[suite]
     if not 0 <= n_max <= cap:
@@ -313,16 +338,16 @@ def _require_n_max(n_max: int, suite: str) -> None:
 class Statistic(NamedTuple):
     """One statistic the conjecture suite refines the sortable sets by."""
 
-    stem: str  # claim id: "{stem}-distributions-agree"
+    claim_id: str
     key: str  # JSON key of its distribution
     label: str  # text label of its distribution
     value: Callable[[Permutation], int]  # 0 on the empty permutation
 
 
 STATISTICS = (
-    Statistic("first-entry", "by_first_entry", "by first entry",
+    Statistic("first-entry-distributions-agree", "by_first_entry", "by first entry",
               lambda x: x.entries[0] if len(x) else 0),
-    Statistic("max-position", "by_position_of_max", "by position of max",
+    Statistic("max-position-distributions-agree", "by_position_of_max", "by position of max",
               lambda x: index_of(x, len(x)) if len(x) else 0),
 )
 
@@ -362,6 +387,32 @@ def _distribution(n: int, patterns: tuple[Permutation, ...], workers: int) -> Di
     return DistributionTable(scan.machine, n, scan.count, distributions)
 
 
+#: The conjecture suite's claims, in report order.
+CONJECTURE_CLAIMS = (
+    "totals-agree",
+    *(stat.claim_id for stat in STATISTICS),
+    "statistics-partition-the-totals",
+)
+
+
+def _conjecture_pair(n: int, workers: int) -> tuple[DistributionTable, ...]:
+    machines = ((PATTERN_132, PATTERN_213), (PATTERN_213, PATTERN_312))
+    return tuple(_distribution(n, patterns, workers) for patterns in machines)
+
+
+def _conjecture_failures(n: int, tables: Sequence[DistributionTable]) -> Iterator[Failure]:
+    """(claim id, n, detail) for each conjecture claim the pair breaks at n."""
+    compared = [("totals-agree", [t.total for t in tables])] + [
+        (stat.claim_id, [t.distributions[stat.key] for t in tables]) for stat in STATISTICS
+    ]
+    for claim_id, (a, b) in compared:
+        if a != b:
+            yield claim_id, n, f"{a} vs {b}"
+    for t in tables:
+        if any(sum(counts.values()) != t.total for counts in t.distributions.values()):
+            yield "statistics-partition-the-totals", n, f"{t.machine} tables sum differently"
+
+
 def conjecture_tables(
     n: int, workers: int = 1
 ) -> tuple[DistributionTable, DistributionTable, SuiteReport]:
@@ -375,44 +426,21 @@ def conjecture_tables(
     cap = SUITE_CAPS["conjecture"]
     if not 0 <= n <= cap:
         raise ValueError(f"conjecture tables run for n in 0..{cap}, got {n}")
-    tables = (
-        _distribution(n, (PATTERN_132, PATTERN_213), workers),
-        _distribution(n, (PATTERN_213, PATTERN_312), workers),
-    )
-    compared = [("totals", [t.total for t in tables])] + [
-        (f"{stat.stem}-distributions", [t.distributions[stat.key] for t in tables])
-        for stat in STATISTICS
-    ]
-    claims = [
-        _claim(f"{what}-agree", n, n, [f"n={n}: {a} vs {b}"] if a != b else [])
-        for what, (a, b) in compared
-    ]
-    partition = [
-        f"n={n}: {t.machine} tables sum differently"
-        for t in tables
-        if any(sum(counts.values()) != t.total for counts in t.distributions.values())
-    ]
-    claims.append(_claim("statistics-partition-the-totals", n, n, partition))
-    return (*tables, SuiteReport("conjecture", n, tuple(claims)))
+    tables = _conjecture_pair(n, workers)
+    claims = [(claim_id, n) for claim_id in CONJECTURE_CLAIMS]
+    return (*tables, _report("conjecture", n, claims, _conjecture_failures(n, tables)))
 
 
 def verify_conjecture(n_max: int, workers: int = 1) -> SuiteReport:
-    """conjecture_tables over every length up to n_max, merged into one report."""
+    """The conjecture claims at every length from 1 to n_max."""
     _require_n_max(n_max, "conjecture")
-    merged: dict[str, list[str]] = {}
-    # n=0 yields no counterexamples; it supplies the claim ids when n_max is 0
-    for n in range(n_max + 1):
-        _, _, report = conjecture_tables(n, workers=workers)
-        for claim in report.claims:
-            merged.setdefault(claim.claim_id, []).extend(claim.counterexamples)
-    return SuiteReport(
-        "conjecture",
-        n_max,
-        tuple(
-            _claim(claim_id, 1, n_max, counterexamples)
-            for claim_id, counterexamples in merged.items()
-        ),
+    failures = (
+        failure
+        for n in range(1, n_max + 1)
+        for failure in _conjecture_failures(n, _conjecture_pair(n, workers))
     )
+    claims = [(claim_id, 1) for claim_id in CONJECTURE_CLAIMS]
+    return _report("conjecture", n_max, claims, failures)
 
 
 def run_suites(

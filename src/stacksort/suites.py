@@ -5,8 +5,12 @@ family of claims pointwise over every length up to ``n_max``:
 characterization (the (132,321)-sortable set and its count), west (the
 signatures and the signature-matching bijection), dyck (the staircase
 encoding of 123-avoiders), structure (the (123,321)-sortable set), and
-tables (count rows aligned against reference sequences).  A failed check
-becomes a counterexample in the report, never an exception.
+tables (count rows aligned against reference sequences).  A suite declares
+each claim once, as its id and the first length it holds from, and a
+generator yields (claim id, n, detail) for every counterexample;
+``harness._report`` turns the two into the report.  Claims checked at fixed
+lengths (the golden examples, the table rows) are built whole and go first.
+A failed check becomes a counterexample in the report, never an exception.
 
 ``SUITES`` names them all, together with the conjecture suite, which stays
 in ``harness`` beside ``conjecture_tables``.  This module imports every
@@ -17,7 +21,7 @@ enumeration answered from the cache never does.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .dyck import (
     FACTOR_DUDU,
@@ -30,10 +34,12 @@ from .dyck import (
     rotem_map,
 )
 from .harness import (
+    Failure,
     SuiteReport,
     VerificationReport,
     _claim,
     _enumerate,
+    _report,
     _require_n_max,
     verify_conjecture,
 )
@@ -107,26 +113,25 @@ def verify_characterization(n_max: int, workers: int = 1) -> SuiteReport:
     """The (132,321)-sortable permutations are exactly the 123-avoiders
     with no adjacent-middle 132; their counts follow the g recurrence."""
     _require_n_max(n_max, "characterization")
+    claims = (
+        ("sortable-set-equals-avoider-set", 0),
+        ("sortable-counts-follow-recurrence", 0),
+    )
+    return _report("characterization", n_max, claims, _characterization_failures(n_max, workers))
+
+
+def _characterization_failures(n_max: int, workers: int) -> Iterator[Failure]:
     g = g_sequence(n_max)
-    set_bad: list[str] = []
-    count_bad: list[str] = []
     for n in range(n_max + 1):
         scan = _enumerate(n, (PATTERN_132, PATTERN_321), True, workers)
         sortable = set(scan.witnesses)
         avoiding = set(avoiders(n, PatternSet.of(PATTERN_123, STAR_132)))
         for x in sorted(sortable ^ avoiding, key=lambda p: p.entries):
             side = "sortable only" if x in sortable else "avoider only"
-            set_bad.append(f"n={n}: {x} ({side})")
+            yield "sortable-set-equals-avoider-set", n, f"{x} ({side})"
         if len(sortable) != g[n]:
-            count_bad.append(f"n={n}: counted {len(sortable)}, recurrence gives {g[n]}")
-    return SuiteReport(
-        "characterization",
-        n_max,
-        (
-            _claim("sortable-set-equals-avoider-set", 0, n_max, set_bad),
-            _claim("sortable-counts-follow-recurrence", 0, n_max, count_bad),
-        ),
-    )
+            yield ("sortable-counts-follow-recurrence", n,
+                   f"counted {len(sortable)}, recurrence gives {g[n]}")
 
 
 def _west_golden_claim() -> VerificationReport:
@@ -150,101 +155,87 @@ def verify_west(n_max: int, workers: int = 1) -> SuiteReport:
     criteria, and the structural facts feeding them.  Scans no S_n, so
     ``workers`` is accepted like every suite's and ignored."""
     _require_n_max(n_max, "west")
-    inj123: list[str] = []
-    inj132: list[str] = []
-    multiset: list[str] = []
-    last_two: list[str] = []
-    bijection: list[str] = []
-    restriction: list[str] = []
-    plateau123: list[str] = []
-    plateau132: list[str] = []
-    removal: list[str] = []
-    locate_max: list[str] = []
-    interval: list[str] = []
-    recursion: list[str] = []
+    claims = (
+        ("signature-determines-123-avoider", 0),
+        ("signature-determines-132-avoider", 0),
+        ("signature-sets-coincide", 0),
+        ("signatures-end-in-two", 1),
+        ("signature-matching-bijects-avoider-classes", 0),
+        ("matching-restricts-to-starred-classes", 0),
+        ("plateau-marks-adjacent-middle-132", 0),
+        ("plateau-marks-adjacent-middle-123", 0),
+        ("max-removal-keeps-starred-avoidance", 1),
+        ("first-active-count-locates-max", 2),
+        ("active-sites-form-prefix-interval", 0),
+        ("active-site-recursion-under-max-removal", 1),
+    )
+    return _report("west", n_max, claims, _west_failures(n_max), fixed=(_west_golden_claim(),))
 
+
+def _west_failures(n_max: int) -> Iterator[Failure]:
     for n in range(n_max + 1):
         # avoider -> signature, in avoiders order
         av123 = _signatures(n, PATTERN_123)
         av132 = _signatures(n, PATTERN_132)
-        for av, injectivity in ((av123, inj123), (av132, inj132)):
+        for av, claim_id in ((av123, "signature-determines-123-avoider"),
+                             (av132, "signature-determines-132-avoider")):
             owner = {}
             for x, sig in av.items():
                 if sig in owner:
-                    injectivity.append(f"n={n}: {x} and {owner[sig]} share {sig}")
+                    yield claim_id, n, f"{x} and {owner[sig]} share {sig}"
                 owner[sig] = x
-        if set(av123.values()) != set(av132.values()):
-            for sig in sorted(set(av123.values()) ^ set(av132.values())):
-                multiset.append(f"n={n}: signature {format_signature(sig)} on one side only")
+        for sig in sorted(set(av123.values()) ^ set(av132.values())):
+            yield ("signature-sets-coincide", n,
+                   f"signature {format_signature(sig)} on one side only")
         for x, sig in av123.items():
             if n >= 1 and sig[-1] != 2:
-                last_two.append(f"n={n}: signature of {x} ends in {sig[-1]}")
+                yield "signatures-end-in-two", n, f"signature of {x} ends in {sig[-1]}"
             if has_plateau(sig) != contains_bivincular(x, STAR_132):
-                plateau123.append(f"n={n}: {x}")
+                yield "plateau-marks-adjacent-middle-132", n, str(x)
             sites = sorted(active_sites(x, PATTERN_123))
             if sites != list(range(1, len(sites) + 1)):
-                interval.append(f"n={n}: {x} has gap in {sites}")
+                yield "active-sites-form-prefix-interval", n, f"{x} has gap in {sites}"
             if n >= 2 and x.entries != tuple(range(n, 0, -1)):
                 off_diagonal = [v for pos, v in enumerate(x, start=1) if v + pos != n + 1]
                 expected = max(off_diagonal)
                 if x.entries[len(sites) - 1] != expected:
-                    locate_max.append(f"n={n}: {x}: entry at {len(sites)} is not {expected}")
+                    yield ("first-active-count-locates-max", n,
+                           f"{x}: entry at {len(sites)} is not {expected}")
         for x, sig in av132.items():
             if has_plateau(sig) != contains_bivincular(x, STAR_123):
-                plateau132.append(f"n={n}: {x}")
+                yield "plateau-marks-adjacent-middle-123", n, str(x)
             if n >= 1:
                 act1 = active_sites(x, PATTERN_132)
                 act2 = active_sites(smallest_k(x, n - 1), PATTERN_132)
                 top = index_of(x, n)
                 derived = {i for i in range(2, n + 2) if i - 1 in act2 and top <= i - 1 <= n}
                 if act1 != derived | {1}:
-                    recursion.append(f"n={n}: {x}")
+                    yield "active-site-recursion-under-max-removal", n, str(x)
 
+        bijection = "signature-matching-bijects-avoider-classes"
         image = []
         for x in av132:
             y = west_map(x, PATTERN_132, PATTERN_123)
             image.append(y)
             if contains_classical(y, PATTERN_123):
-                bijection.append(f"n={n}: image {y} of {x} contains 123")
+                yield bijection, n, f"image {y} of {x} contains 123"
             if west_map(y, PATTERN_123, PATTERN_132) != x:
-                bijection.append(f"n={n}: round trip of {x} breaks")
+                yield bijection, n, f"round trip of {x} breaks"
         if sorted(p.entries for p in image) != sorted(p.entries for p in av123):
-            bijection.append(f"n={n}: image is not all of the 123-avoiders")
+            yield bijection, n, "image is not all of the 123-avoiders"
 
         star_sources = set(avoiders(n, PatternSet.of(PATTERN_132, STAR_123)))
         star_targets = set(avoiders(n, PatternSet.of(PATTERN_123, STAR_132)))
         mapped = {west_map(x, PATTERN_132, PATTERN_123) for x in star_sources}
-        if mapped != star_targets:
-            for x in sorted(mapped ^ star_targets, key=lambda p: p.entries):
-                restriction.append(f"n={n}: {x} on one side only")
+        for x in sorted(mapped ^ star_targets, key=lambda p: p.entries):
+            yield "matching-restricts-to-starred-classes", n, f"{x} on one side only"
 
         if n >= 1:
             for group, starred in ((star_targets, STAR_132), (star_sources, STAR_123)):
                 for x in group:
                     if contains_bivincular(smallest_k(x, n - 1), starred):
-                        removal.append(
-                            f"n={n}: removing the max of {x} leaves the starred pattern"
-                        )
-
-    return SuiteReport(
-        "west",
-        n_max,
-        (
-            _west_golden_claim(),
-            _claim("signature-determines-123-avoider", 0, n_max, inj123),
-            _claim("signature-determines-132-avoider", 0, n_max, inj132),
-            _claim("signature-sets-coincide", 0, n_max, multiset),
-            _claim("signatures-end-in-two", 1, n_max, last_two),
-            _claim("signature-matching-bijects-avoider-classes", 0, n_max, bijection),
-            _claim("matching-restricts-to-starred-classes", 0, n_max, restriction),
-            _claim("plateau-marks-adjacent-middle-132", 0, n_max, plateau123),
-            _claim("plateau-marks-adjacent-middle-123", 0, n_max, plateau132),
-            _claim("max-removal-keeps-starred-avoidance", 1, n_max, removal),
-            _claim("first-active-count-locates-max", 2, n_max, locate_max),
-            _claim("active-sites-form-prefix-interval", 0, n_max, interval),
-            _claim("active-site-recursion-under-max-removal", 1, n_max, recursion),
-        ),
-    )
+                        yield ("max-removal-keeps-starred-avoidance", n,
+                               f"removing the max of {x} leaves the starred pattern")
 
 
 def _dyck_golden_claim() -> VerificationReport:
@@ -273,46 +264,40 @@ def verify_dyck(n_max: int, workers: int = 1) -> SuiteReport:
     adjacent-middle 132 into a dudu factor; counts close the triangle.
     Scans no S_n, so ``workers`` is accepted like every suite's and ignored."""
     _require_n_max(n_max, "dyck")
+    claims = (
+        ("staircase-map-bijects-onto-paths", 0),
+        ("cell-capacity-marks-adjacent-middle-132", 1),
+        ("dudu-factor-marks-adjacent-middle-132", 0),
+        ("path-counts-close-the-triangle", 0),
+    )
+    return _report("dyck", n_max, claims, _dyck_failures(n_max), fixed=(_dyck_golden_claim(),))
+
+
+def _dyck_failures(n_max: int) -> Iterator[Failure]:
     g = g_sequence(n_max)
-    bijection: list[str] = []
-    capacity: list[str] = []
-    factor: list[str] = []
-    counts: list[str] = []
     for n in range(n_max + 1):
         av = list(avoiders(n, PatternSet.of(PATTERN_123)))
         images = [rotem_map(x) for x in av]
         if len({str(p) for p in images}) != len(av):
-            bijection.append(f"n={n}: map is not injective")
+            yield "staircase-map-bijects-onto-paths", n, "map is not injective"
         paths = list(dyck_paths(n))
         if {str(p) for p in images} != {str(p) for p in paths}:
-            bijection.append(f"n={n}: image misses some paths")
+            yield "staircase-map-bijects-onto-paths", n, "image misses some paths"
         for x, path in zip(av, images):
             starred = contains_bivincular(x, STAR_132)
             if n >= 1 and cell_capacity_ok(x) != (not starred):
-                capacity.append(f"n={n}: {x}")
+                yield "cell-capacity-marks-adjacent-middle-132", n, str(x)
             if contains_factor(path, FACTOR_DUDU) != starred:
-                factor.append(f"n={n}: {x} -> {path}")
+                yield "dudu-factor-marks-adjacent-middle-132", n, f"{x} -> {path}"
         scanned = sum(not contains_factor(p, FACTOR_DUDU) for p in paths)
         automaton = count_dyck_avoiding(n, FACTOR_DUDU)
         avoider_count = sum(
             1 for _ in avoiders(n, PatternSet.of(PATTERN_123, STAR_132))
         )
         if not (scanned == automaton == avoider_count == g[n]):
-            counts.append(
-                f"n={n}: path scan {scanned}, automaton {automaton}, "
-                f"avoiders {avoider_count}, recurrence {g[n]}"
-            )
-    return SuiteReport(
-        "dyck",
-        n_max,
-        (
-            _dyck_golden_claim(),
-            _claim("staircase-map-bijects-onto-paths", 0, n_max, bijection),
-            _claim("cell-capacity-marks-adjacent-middle-132", 1, n_max, capacity),
-            _claim("dudu-factor-marks-adjacent-middle-132", 0, n_max, factor),
-            _claim("path-counts-close-the-triangle", 0, n_max, counts),
-        ),
-    )
+            yield ("path-counts-close-the-triangle", n,
+                   f"path scan {scanned}, automaton {automaton}, "
+                   f"avoiders {avoider_count}, recurrence {g[n]}")
 
 
 def verify_sortable_structure(n_max: int, workers: int = 1) -> SuiteReport:
@@ -325,63 +310,53 @@ def verify_sortable_structure(n_max: int, workers: int = 1) -> SuiteReport:
     would never sort from length 4 on, where the last entry must be 1 or 2.
     """
     _require_n_max(n_max, "structure")
-    counts: list[str] = []
-    av123: list[str] = []
-    first_entry: list[str] = []
-    last_entry: list[str] = []
-    max_pos: list[str] = []
-    out21: list[str] = []
-    swap_fix: list[str] = []
-    append_iff: list[str] = []
+    claims = (
+        ("counts-match-closed-form", 1),
+        ("sortable-avoids-123", 4),
+        ("first-entry-is-top-two", 4),
+        ("last-entry-is-bottom-two", 4),
+        ("max-precedes-one-and-two", 5),
+        ("pass-output-pairs-two-one", 4),
+        ("swap-of-top-two-fixes-pass-output", 5),
+        # the id says "max" for a new minimum; perfbench/answers.json pins it
+        ("appending-new-max-marks-sortable", 4),
+    )
+    return _report("structure", n_max, claims, _structure_failures(n_max, workers))
+
+
+def _structure_failures(n_max: int, workers: int) -> Iterator[Failure]:
     machine_pair = (PATTERN_123, PATTERN_321)
     first_stack = PatternSet.of(*machine_pair)
-
     for n in range(1, n_max + 1):
         sortable = _enumerate(n, machine_pair, True, workers).witnesses
         if len(sortable) != sort_123_321_closed(n):
-            counts.append(
-                f"n={n}: counted {len(sortable)}, closed form {sort_123_321_closed(n)}"
-            )
+            yield ("counts-match-closed-form", n,
+                   f"counted {len(sortable)}, closed form {sort_123_321_closed(n)}")
         if n >= 4:
             for x in sortable:
                 if contains_classical(x, PATTERN_123):
-                    av123.append(f"n={n}: {x}")
+                    yield "sortable-avoids-123", n, str(x)
                 if x.entries[0] not in (n - 1, n):
-                    first_entry.append(f"n={n}: {x}")
+                    yield "first-entry-is-top-two", n, str(x)
                 if x.entries[-1] not in (1, 2):
-                    last_entry.append(f"n={n}: {x}")
+                    yield "last-entry-is-bottom-two", n, str(x)
                 mid = pattern_stack_pass(x, first_stack)
                 one_at = mid.entries.index(1)
                 if one_at == 0 or mid.entries[one_at - 1] != 2:
-                    out21.append(f"n={n}: {x} -> {mid}")
+                    yield "pass-output-pairs-two-one", n, f"{x} -> {mid}"
                 if n >= 5:
                     if index_of(x, n) >= min(index_of(x, 1), index_of(x, 2)):
-                        max_pos.append(f"n={n}: {x}")
+                        yield "max-precedes-one-and-two", n, str(x)
                     swapped_mid = pattern_stack_pass(swap12(x), first_stack)
                     if mid != swapped_mid:
-                        swap_fix.append(f"n={n}: {x}: {mid} vs {swapped_mid}")
+                        yield ("swap-of-top-two-fixes-pass-output", n,
+                               f"{x}: {mid} vs {swapped_mid}")
             sortable_lookup = set(sortable)
             for word in itertools.permutations(range(1, n + 1)):
                 x = Permutation(word)
                 grown = insert_one_at(x, n + 1)
                 if is_sortable(grown, *machine_pair) != (x in sortable_lookup):
-                    append_iff.append(f"n={n}: {x}")
-
-    return SuiteReport(
-        "structure",
-        n_max,
-        (
-            _claim("counts-match-closed-form", 1, n_max, counts),
-            _claim("sortable-avoids-123", 4, n_max, av123),
-            _claim("first-entry-is-top-two", 4, n_max, first_entry),
-            _claim("last-entry-is-bottom-two", 4, n_max, last_entry),
-            _claim("max-precedes-one-and-two", 5, n_max, max_pos),
-            _claim("pass-output-pairs-two-one", 4, n_max, out21),
-            _claim("swap-of-top-two-fixes-pass-output", 5, n_max, swap_fix),
-            # the id says "max" for a new minimum; perfbench/answers.json pins it
-            _claim("appending-new-max-marks-sortable", 4, n_max, append_iff),
-        ),
-    )
+                    yield "appending-new-max-marks-sortable", n, str(x)
 
 
 # ---- count rows against reference sequences ------------------------------
@@ -453,32 +428,27 @@ def verify_tables(n_max: int, workers: int = 1) -> SuiteReport:
         row = _count_row(n_max, patterns, workers)
         table = OEIS_PREFIXES[reference]
         shift = find_alignment(row, table)
+        bad: list[str] = []
         if shift is None:
             bad = [
                 f"machine row  (n=1..{n_max}): {row}",
                 f"{reference} prefix (offset {table.offset}): {list(table.terms)}",
             ]
-            claims.append(
-                _claim(f"row-{label}-matches-{reference}", 1, n_max, bad,
-                       detail="no shift aligns the row with the reference")
-            )
+            detail = "no shift aligns the row with the reference"
         else:
-            claims.append(
-                _claim(f"row-{label}-matches-{reference}", 1, n_max, (),
-                       detail=f"aligned at shift {shift:+d}")
-            )
+            # an empty row is skipped: it examined nothing, so it aligned nowhere
+            detail = f"aligned at shift {shift:+d}" if row else ""
+        claims.append(_claim(f"row-{label}-matches-{reference}", 1, n_max, bad, detail))
 
     closed_pair = (PATTERN_123, PATTERN_321)
-    closed_label = "+".join(map(pattern_name, closed_pair))
+    closed_id = f"row-{'+'.join(map(pattern_name, closed_pair))}-matches-closed-form"
     closed_row = _count_row(n_max, closed_pair, workers)
-    closed_bad = [
-        f"n={n}: counted {closed_row[n - 1]}, closed form {sort_123_321_closed(n)}"
-        for n in range(1, n_max + 1)
-        if closed_row[n - 1] != sort_123_321_closed(n)
-    ]
-    claims.append(_claim(f"row-{closed_label}-matches-closed-form", 1, n_max, closed_bad))
-
-    return SuiteReport("tables", n_max, tuple(claims))
+    failures = (
+        (closed_id, n, f"counted {count}, closed form {sort_123_321_closed(n)}")
+        for n, count in enumerate(closed_row, start=1)
+        if count != sort_123_321_closed(n)
+    )
+    return _report("tables", n_max, [(closed_id, 1)], failures, fixed=claims)
 
 
 SUITES = {

@@ -459,6 +459,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_RUNS = {
     "trace": (0, ["trace", "--sigma", "132", "--tau", "321", "--perm", "231"]),
     "verify": (1, ["verify", "--suite", "conjecture", "--n-max", "4"]),
+    "verify-all": (1, ["verify", "--suite", "all", "--n-max", "6"]),
     "signature": (0, ["signature", "--perm", "45231", "--sigma", "132"]),
     "west-map": (0, ["west-map", "--perm", "45231", "--sigma", "132", "--tau", "123"]),
     "dyck-perm": (0, ["dyck", "--perm", "4213"]),
@@ -723,6 +724,51 @@ def test_a_claim_with_an_empty_range_is_skipped(capsys):
     assert status.pop("first-active-count-locates-max") == "skip"
     assert set(status.values()) == {"pass"}
     assert (code, report["passed"]) == (0, True)
+
+
+TABLES_N0_TEXT = """\
+suite tables (n_max=0): all claims hold
+  ok   references-match-embedded-prefixes (n=0..9)
+  skip row-123+213-matches-A000108 (n=1..0)
+  skip row-132+312-matches-A000108 (n=1..0)
+  skip row-231+321-matches-A000108 (n=1..0)
+  skip row-123+132-matches-A000108 (n=1..0)
+  skip row-123+231-matches-A006318 (n=1..0)
+  skip row-132+231-matches-A006318 (n=1..0)
+  skip row-123+312-matches-A007317 (n=1..0)
+  skip row-132+321-matches-A102407 (n=1..0)
+  skip row-132-matches-A007317 (n=1..0)
+  skip row-321-matches-A011782 (n=1..0)
+  skip row-123-matches-A294790 (n=1..0)
+  skip row-123+321-matches-closed-form (n=1..0)
+
+all suites passed
+"""
+
+
+def test_empty_table_rows_are_skipped_without_an_alignment(capsys):
+    # a row with no lengths examined nothing, so it names no shift
+    assert invoke(capsys, "verify", "--suite", "tables", "--n-max", "0") == (
+        0, TABLES_N0_TEXT, "",
+    )
+    code, out, err = invoke(
+        capsys, "verify", "--suite", "tables", "--n-max", "0", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    (report,) = json.loads(out)["suites"]
+    references, *rows = report["claims"]
+    assert references["status"] == "pass"
+    assert [row["claim_id"] for row in rows] == [
+        line.split()[1] for line in TABLES_N0_TEXT.splitlines()[2:14]
+    ]
+    for row in rows:
+        assert row == {
+            "claim_id": row["claim_id"],
+            "n_range": [1, 0],
+            "status": "skip",
+            "counterexamples": [],
+            "detail": "",
+        }
 
 
 def test_parser_covers_all_subcommands():

@@ -12,6 +12,7 @@ from stacksort.harness import (
     SuiteReport,
     VerificationReport,
     _canonical,
+    _report,
     cache_load,
     cache_store,
     conjecture_tables,
@@ -80,6 +81,39 @@ def test_report_status_consistency():
     failed = VerificationReport("claim", (1, 5), "fail", ("n=3: 132",))
     assert SuiteReport("s", 1, (skipped, held)).passed
     assert not SuiteReport("s", 1, (skipped, failed)).passed
+
+
+def test_report_builder_files_failures_under_declared_claims():
+    fixed = VerificationReport("golden", (5, 5), "pass")
+    claims = (("from-zero", 0), ("from-two", 2), ("from-four", 4))
+    failures = [("from-two", n, f"case {n}") for n in (3, 2, 3)]
+    report = _report("demo", 3, claims, failures, fixed=(fixed,))
+    assert report.suite == "demo" and report.n_max == 3
+    assert [c.claim_id for c in report.claims] == ["golden", "from-zero", "from-two", "from-four"]
+    _, from_zero, from_two, from_four = report.claims
+    assert (from_zero.status, from_zero.n_range, from_zero.counterexamples) == ("pass", (0, 3), ())
+    assert (from_two.status, from_two.n_range) == ("fail", (2, 3))
+    assert from_two.counterexamples == ("n=3: case 3", "n=2: case 2", "n=3: case 3")
+    assert (from_four.status, from_four.n_range) == ("skip", (4, 3))
+    assert not report.passed
+
+
+def test_report_builder_truncates_like_a_claim():
+    failures = [("c", n, "x") for n in range(1, 9)]
+    (claim,) = _report("demo", 8, [("c", 1)], failures).claims
+    assert claim.counterexamples == (
+        "n=1: x", "n=2: x", "n=3: x", "n=4: x", "n=5: x", "... and 3 more",
+    )
+
+
+@pytest.mark.parametrize("failure", [
+    ("undeclared", 3, "x"),  # no such claim
+    ("from-two", 1, "x"),  # below the claim's first length
+    ("from-two", 4, "x"),  # above n_max
+])
+def test_report_builder_refuses_failures_outside_its_claims(failure):
+    with pytest.raises(RuntimeError, match="suite demo has no claim"):
+        _report("demo", 3, [("from-two", 2)], [failure])
 
 
 def test_report_rendering_shapes():
