@@ -9,16 +9,9 @@ random source, or unordered iteration.
 Importing this module loads only ``perms``, which also reads every
 permutation and pattern argument.  Each handler loads the layers it calls,
 where it calls them, with ``_load``, which binds each layer's public names
-here from the package's one export table (``stacksort._EXPORTS``):
-
-    trace                         machine
-    signature, west-map           signatures
-    dyck --perm                   dyck
-    dyck --n                      dyck, sequences
-    sequences                     sequences
-    enumerate (cache hit)         harness
-    enumerate (scan), conjecture  harness, machine
-    verify                        harness, suites (which load every layer)
+here from the package's one export table (``stacksort._EXPORTS``).
+``tests/test_cli.py::LAYERS_RUN`` lists the layers each subcommand loads and
+checks them.
 
 Modules that only one branch needs, such as ``json`` for ``--format json``,
 ``csv`` for ``--format csv`` and ``traceback`` for an internal error, are
@@ -36,7 +29,9 @@ Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (argparse's own convention, which covers ``--workers``
 below 1) and on refused inputs, 3 on any other exception,
 which is a bug in the package and is reported as one "internal error:"
-line on stderr.
+line on stderr.  Every refusal is a ``ValueError``; the package's other
+exceptions, such as ``signatures.NoMatch`` from ``west_map`` and
+``sequences.NonIntegerCoefficient``, signal bugs and exit 3.
 """
 
 from __future__ import annotations
@@ -443,7 +438,7 @@ def run(argv: list[str] | None = None) -> int:
             out = answer.text
         sys.stdout.write(out if out.endswith("\n") else out + "\n")
         return answer.code
-    except (ValueError, LookupError, OverflowError, ArithmeticError) as exc:
+    except ValueError as exc:
         _note(f"error: {exc}")
         return 2
     except Exception as exc:

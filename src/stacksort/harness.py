@@ -211,33 +211,23 @@ def enumerate_single_machine(
 # ---- reports -------------------------------------------------------------
 
 
-class VerificationReport(_Frozen):
+class VerificationReport(NamedTuple):
     """Outcome of one claim checked over a range of lengths.
 
     A claim fails exactly when it has counterexamples.  One whose range is
     empty examined nothing and is skipped, which does not fail its suite.
     """
 
-    __slots__ = ("claim_id", "n_range", "status", "counterexamples", "detail")
     claim_id: str
     n_range: tuple[int, int]
-    status: str
-    counterexamples: tuple[str, ...]
-    detail: str
+    counterexamples: tuple[str, ...] = ()
+    detail: str = ""
 
-    def __init__(
-        self,
-        claim_id: str,
-        n_range: tuple[int, int],
-        status: str,
-        counterexamples: tuple[str, ...] = (),
-        detail: str = "",
-    ) -> None:
-        self._freeze(claim_id, n_range, status, counterexamples, detail)
-        if self.status not in (PASS, FAIL, SKIP):
-            raise ValueError(f"unknown claim status {self.status!r}")
-        if (self.status == FAIL) != bool(self.counterexamples):
-            raise ValueError("a claim fails exactly when it has counterexamples")
+    @property
+    def status(self) -> str:
+        if self.counterexamples:
+            return FAIL
+        return PASS if self.n_range[0] <= self.n_range[1] else SKIP
 
     def to_json_dict(self) -> dict:
         return {
@@ -298,11 +288,7 @@ def _claim(
     overflow = len(counterexamples) - len(shown)
     if overflow > 0:
         shown += (f"... and {overflow} more",)
-    if counterexamples:
-        status = FAIL
-    else:
-        status = PASS if lo <= hi else SKIP
-    return VerificationReport(claim_id, (lo, hi), status, shown, detail)
+    return VerificationReport(claim_id, (lo, hi), shown, detail)
 
 
 def _report(

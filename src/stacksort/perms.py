@@ -161,7 +161,8 @@ def identity(n: int) -> Permutation:
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse one-line notation: whitespace or comma separators, or one digit per entry.
+    """Parse one-line notation: whitespace or comma separators, or one digit per entry;
+    ``-`` is the empty permutation.
 
     >>> parse_permutation("2 3 1 4")
     Permutation((2, 3, 1, 4))
@@ -169,7 +170,11 @@ def parse_permutation(text: str) -> Permutation:
     Permutation((2, 3, 1, 4))
     >>> parse_permutation("2314")
     Permutation((2, 3, 1, 4))
+    >>> parse_permutation("-")
+    Permutation(())
     """
+    if text.strip() == "-":
+        return Permutation(())
     if text.isdecimal():
         return Permutation.from_digits(text)
     tokens = text.replace(",", " ").split()
@@ -186,8 +191,9 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def format_permutation(x: Permutation) -> str:
-    """Canonical text form: entries joined by single spaces."""
-    return " ".join(str(v) for v in x.entries)
+    """Canonical text form: entries joined by single spaces, and ``-`` for
+    the empty permutation, as trace steps print an empty stack."""
+    return " ".join(str(v) for v in x.entries) or "-"
 
 
 def index_of(x: Permutation, value: int) -> int:

@@ -199,7 +199,7 @@ def avoider_with_signature(sig: tuple[int, ...], target: Permutation) -> Permuta
     >>> str(avoider_with_signature((4, 4, 3, 3, 2), PATTERN_123))
     '4 2 1 5 3'
     >>> str(avoider_with_signature((), PATTERN_132))
-    ''
+    '-'
     """
     n = len(sig)
     _require_generation_cap(n)

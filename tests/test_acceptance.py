@@ -7,7 +7,8 @@ what the brute force found instead (the lone exception, the row that
 matches no reference, the lengths where two distributions part).  Those
 findings are recomputed inside the test by the slow reference code in
 ``oracles``, so the test fails if a counterexample stops being one or a
-pinned distribution moves.
+pinned distribution moves.  Two more pin, in the same way, explanations of
+the open (132,213)/(213,312) equinumerosity that the brute force rules out.
 """
 
 import json
@@ -395,7 +396,86 @@ def test_disagreement_is_reported_loudly(conjecture_report):
     assert not conjecture_report.passed
 
 
-# ---- 11: determinism ----------------------------------------------------------
+# ---- 11: explanations of the equinumerosity that fail --------------------------
+
+CONJECTURE_PAIRS = (((1, 3, 2), (2, 1, 3)), ((2, 1, 3), (3, 1, 2)))
+
+
+@pytest.fixture(scope="module")
+def conjecture_sets():
+    """Sort_n(132, 213) and Sort_n(213, 312) for n = 1..7, by oracle, each
+    checked against the package's scan."""
+    sets = {}
+    for n in range(1, 8):
+        pair = []
+        for sigma, tau in CONJECTURE_PAIRS:
+            found = frozenset(
+                w for w in iter_perms(range(1, n + 1)) if oracles.machine_sorts(w, sigma, tau)
+            )
+            scanned = enumerate_sortable(n, Permutation(sigma), Permutation(tau)).witnesses
+            assert found == {x.entries for x in scanned}, f"n={n}, {sigma}+{tau}"
+            pair.append(found)
+        sets[n] = tuple(pair)
+    return sets
+
+
+def _reverse(w):
+    return w[::-1]
+
+
+def _complement(w):
+    return tuple(len(w) + 1 - v for v in w)
+
+
+def _inverse(w):
+    out = [0] * len(w)
+    for position, value in enumerate(w, start=1):
+        out[value - 1] = position
+    return tuple(out)
+
+
+_FLIPS = (lambda w: w, _reverse, _complement, lambda w: _reverse(_complement(w)))
+#: The 8 symmetries of the square, as maps on one-line words.
+SQUARE_SYMMETRIES = _FLIPS + tuple(lambda w, f=f: f(_inverse(w)) for f in _FLIPS)
+
+
+def test_no_symmetry_of_the_square_maps_one_sortable_set_onto_the_other(conjecture_sets):
+    # the two sets have the same size, but not because one is an image of
+    # the other under reverse, complement, inverse or their compositions:
+    # the best of the 8 matches all but a few words at n = 4 and loses
+    # ground at every length after.  The identity is among the best each time.
+    assert len({g((3, 1, 4, 2, 5)) for g in SQUARE_SYMMETRIES}) == 8
+    best = {}
+    for n in range(4, 8):
+        a, b = conjecture_sets[n]
+        overlaps = [len({g(w) for w in a} & b) for g in SQUARE_SYMMETRIES]
+        assert len(a) == len(b) > max(overlaps) == overlaps[0], f"n={n}"
+        best[n] = (len(a), max(overlaps))
+    assert best == {4: (16, 15), 5: (61, 52), 6: (261, 203), 7: (1206, 869)}
+
+
+def test_the_first_stacks_have_different_images_from_length_five(conjecture_sets):
+    # nor does the first stack explain it: it sends each sortable set onto
+    # its images with fibres of the same sizes only through length 4; from
+    # length 5 the two machines do not even have the same number of images
+    image_counts = {}
+    for n in range(1, 8):
+        fibres = []
+        for (sigma, tau), sortable in zip(CONJECTURE_PAIRS, conjecture_sets[n]):
+            images = Counter(oracles.stack_pass(w, classical=(sigma, tau)) for w in sortable)
+            packed = PatternSet.of(Permutation(sigma), Permutation(tau))
+            assert images == Counter(
+                pattern_stack_pass(Permutation(w), packed).entries for w in sortable
+            ), f"n={n}, {sigma}+{tau}"
+            fibres.append(sorted(images.values()))
+        assert (fibres[0] == fibres[1]) == (n <= 4), f"n={n}"
+        image_counts[n] = tuple(len(f) for f in fibres)
+    assert {n: c for n, c in image_counts.items() if n >= 5} == {
+        5: (13, 12), 6: (33, 29), 7: (87, 72),
+    }
+
+
+# ---- 12: determinism ----------------------------------------------------------
 
 
 SUITE_NAMES = ["characterization", "west", "dyck", "structure", "tables", "conjecture"]

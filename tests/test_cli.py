@@ -15,7 +15,7 @@ import stacksort
 from stacksort import cli, harness, signatures, suites
 from stacksort.cli import build_parser, run
 from stacksort.perms import SUITE_CAPS, Permutation
-from stacksort.sequences import Overflow, schroder_large
+from stacksort.sequences import NonIntegerCoefficient, Overflow, schroder_large
 
 SRC = Path(stacksort.__file__).resolve().parents[1]
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -66,6 +66,32 @@ def test_trace_rejects_a_degenerate_pair(capsys):
         )
         assert (code, out) == (2, "")
         assert err == f"error: need two distinct patterns, got {pattern} twice\n"
+
+
+def test_trace_of_the_empty_permutation(capsys):
+    for perm in ("-", ""):
+        code, out, err = invoke(
+            capsys, "trace", "--sigma", "132", "--tau", "321", "--perm", perm
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "(132, 321) machine on -\n"
+            "pass 1: stack avoiding (132, 321)\n"
+            "  intermediate: -\n"
+            "pass 2: increasing stack\n"
+            "output: -\n"
+            "sorted: yes\n"
+        )
+
+
+def test_enumerate_at_length_zero_names_the_empty_witness(capsys, tmp_path):
+    argv = ["enumerate", "--sigma", "132", "--tau", "321", "--n", "0", "--cache-dir", str(tmp_path)]
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "scanned in 1 blocks\n")
+    assert json.loads(out)["witnesses"] == ["-"]
+    assert '"witnesses": [\n    "-"\n  ]' in out
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (0, "machine 132+321, n=0: 1 sortable permutations\n", "cache hit\n")
 
 
 def test_enumerate_csv_golden(capsys, tmp_path):
@@ -506,6 +532,21 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: RuntimeError: boom (")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,target,signal", [
+    (("west-map", "--perm", "45231", "--sigma", "132", "--tau", "123"), "west_map", signatures.NoMatch),
+    (("sequences", "--n-max", "4"), "gf_coefficients", NonIntegerCoefficient),
+], ids=["NoMatch", "NonIntegerCoefficient"])
+def test_bug_signals_are_internal_errors_not_refusals(capsys, monkeypatch, argv, target, signal):
+    def broken(*args):
+        raise signal("bug")
+
+    monkeypatch.setattr(cli, target, broken)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"internal error: {signal.__name__}: bug (")
     assert err.count("\n") == 1
 
 

@@ -1,7 +1,8 @@
-"""Run the worked examples embedded in the docstrings."""
+"""Run the worked examples embedded in the docstrings and the README."""
 
 import doctest
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +25,9 @@ def test_docstring_examples(name, expects_examples):
     if expects_examples:
         assert result.attempted > 0, f"{name} has no examples to run"
     assert result.failed == 0
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

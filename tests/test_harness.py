@@ -68,23 +68,26 @@ def test_result_json_round_trip():
 
 
 def test_report_status_consistency():
-    with pytest.raises(ValueError):
-        VerificationReport("claim", (1, 5), "pass", ("oops",), "")
-    with pytest.raises(ValueError):
-        VerificationReport("claim", (1, 5), "fail", (), "")
-    with pytest.raises(ValueError):
-        VerificationReport("claim", (2, 1), "skip", ("oops",), "")
-    with pytest.raises(ValueError):
-        VerificationReport("claim", (1, 5), "maybe", (), "")
-    skipped = VerificationReport("claim", (2, 1), "skip")
-    held = VerificationReport("claim", (1, 5), "pass")
-    failed = VerificationReport("claim", (1, 5), "fail", ("n=3: 132",))
+    skipped = VerificationReport("claim", (2, 1))
+    held = VerificationReport("claim", (1, 5))
+    failed = VerificationReport("claim", (1, 5), ("n=3: 132",))
+    failed_unchecked = VerificationReport("claim", (2, 1), ("n=2: 12",))
+    assert [r.status for r in (skipped, held, failed, failed_unchecked)] == [
+        "skip", "pass", "fail", "fail",
+    ]
+    assert held.to_json_dict() == {
+        "claim_id": "claim", "n_range": [1, 5], "status": "pass",
+        "counterexamples": [], "detail": "",
+    }
+    assert list(failed.to_json_dict()) == [
+        "claim_id", "n_range", "status", "counterexamples", "detail",
+    ]
     assert SuiteReport("s", 1, (skipped, held)).passed
     assert not SuiteReport("s", 1, (skipped, failed)).passed
 
 
 def test_report_builder_files_failures_under_declared_claims():
-    fixed = VerificationReport("golden", (5, 5), "pass")
+    fixed = VerificationReport("golden", (5, 5))
     claims = (("from-zero", 0), ("from-two", 2), ("from-four", 4))
     failures = [("from-two", n, f"case {n}") for n in (3, 2, 3)]
     report = _report("demo", 3, claims, failures, fixed=(fixed,))
@@ -209,6 +212,19 @@ def test_cache_round_trip(tmp_path):
     assert loaded == result
     # the checksummed result names its machine and length; nothing repeats them
     assert set(json.loads(entry.read_text())) == {"version", "checksum", "result"}
+
+
+def test_cache_round_trips_the_empty_witness(tmp_path):
+    result = enumerate_sortable(0, P("132"), P("321"))
+    entry = cache_store(result, tmp_path)
+    assert json.loads(entry.read_text())["result"]["witnesses"] == ["-"]
+    assert cache_load(("132", "321"), 0, tmp_path) == result
+    # entries written before the empty permutation printed as "-" still load
+    doc = json.loads(entry.read_text())
+    doc["result"]["witnesses"] = [""]
+    doc["checksum"] = hashlib.sha256(_canonical(doc["result"]).encode()).hexdigest()
+    entry.write_text(json.dumps(doc))
+    assert cache_load(("132", "321"), 0, tmp_path) == result
 
 
 def test_cache_miss_on_other_machine(tmp_path):
