@@ -161,11 +161,15 @@ def _cmd_trace(args: argparse.Namespace) -> Answer:
 def _cmd_enumerate(args: argparse.Namespace) -> Answer:
     sigma = _classical_pattern(args.sigma, "--sigma")
     tau = _classical_pattern(args.tau, "--tau") if args.tau else None
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
+    if args.cache_dir == "":
+        raise ValueError("--cache-dir must name a directory, got an empty string")
+    cache_dir = None if args.cache_dir is None else Path(args.cache_dir)
     _load("harness")
     # A cache entry that cannot be trusted or stored warns; it prints as one
-    # line that names no source file, before the note on how it was answered.
+    # line that names no source file, before the note on how it was answered,
+    # whatever warning filters the caller has set.
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         result, from_cache = enumerate_cached(
             args.n, sigma, tau, workers=args.workers, cache_dir=cache_dir
         )
@@ -252,8 +256,8 @@ def _cmd_dyck(args: argparse.Namespace) -> Answer:
         path = rotem_map(x)
         dudu = contains_factor(path, FACTOR_DUDU)
         return Answer(
-            f"b: {' '.join(str(v) for v in b.b)}\n"
-            f"path: {path.word}\n"
+            f"b: {' '.join(str(v) for v in b.b) or '-'}\n"
+            f"path: {path.word or '-'}\n"
             f"dudu factor: {'yes' if dudu else 'no'}",
             {
                 "perm": list(x.entries),

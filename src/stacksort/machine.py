@@ -8,10 +8,12 @@ exhausted the stack is flushed.
 
 The generator ``_pops`` is the only implementation of that pass; it yields
 values in the order they leave the stack.  West's classical stack sort is the
-pass with the single forbidden pattern 21, and the two-stack machine chains
-the pass for {sigma, tau} into it.  A trace is rebuilt from the pop order,
-and the sortability test stops at the first value that leaves the second
-stack out of order.
+pass with the single forbidden pattern 21, and the two-stack machine is the
+pass for {sigma, tau} followed by it.  A trace is rebuilt from the pop order.
+West's pass sorts exactly the 231-avoiding words (Knuth, TAOCP Vol. 1,
+2.2.1), so the sortability test runs no second pass: it holds the first
+stack's output on a plain list in place of the second stack and stops at the
+first value that would leave it out of order, the 2 of a 231.
 
 The push test lives in ``perms``: ``_ends_at`` is the same new-entry test
 the avoider generator runs on its prefix.  The stack is kept as a list from
@@ -23,7 +25,7 @@ whole top-to-bottom word.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .perms import (
     PATTERN_21,
@@ -134,9 +136,6 @@ def _blocked_with_bivincular(stack: list[int], v: int, compiled) -> bool:
     )
 
 
-_WEST_COMPILED = _compile(WEST_PATTERNS)
-
-
 def _pops(word: Iterable[int], compiled) -> Iterator[int]:
     """The right-greedy pass, yielding values in the order they leave the stack.
 
@@ -180,10 +179,24 @@ def _replay(entries: tuple[int, ...], popped: tuple[int, ...]) -> tuple[StackSte
     return tuple(steps)
 
 
-def _sortable_word(word: Sequence[int], compiled) -> bool:
-    """Does the {sigma, tau} pass followed by the 21 pass output 1, 2, ..., n?"""
-    out = _pops(_pops(word, compiled), _WEST_COMPILED)
-    return all(v == expected for expected, v in enumerate(out, start=1))
+def _sortable_word(word: Iterable[int], compiled) -> bool:
+    """Does the {sigma, tau} pass followed by the 21 pass output 1, 2, ..., n?
+
+    The 21 pass is checked, not run: before a value is held on the second
+    stack, every smaller held value leaves and must be the next expected one;
+    when the first pass ends, the held values, read from the top, must be
+    the rest.  So the test stops reading at the first value that would
+    leave the second stack out of order.
+    """
+    held: list[int] = []
+    expected = 1
+    for v in _pops(word, compiled):
+        while held and held[-1] < v:
+            if held.pop() != expected:
+                return False
+            expected += 1
+        held.append(v)
+    return held[::-1] == list(range(expected, expected + len(held)))
 
 
 def machine_patterns(
@@ -249,8 +262,8 @@ def machine(x: Permutation, sigma: Permutation, tau: Permutation) -> Permutation
 def is_sortable(x: Permutation, sigma: Permutation, tau: Permutation) -> bool:
     """Does the (sigma, tau)-machine sort x to the identity?
 
-    Runs both passes as one chain and answers False at the first value that
-    leaves the second stack out of order.
+    Runs the first pass and answers False at the first value that would
+    leave the second stack out of order.
 
     >>> p = Permutation.from_digits
     >>> [is_sortable(p(w), p("132"), p("321")) for w in ("4213", "2314")]

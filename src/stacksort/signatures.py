@@ -107,12 +107,13 @@ def signature(x: Permutation, y: Permutation) -> tuple[int, ...]:
 
 
 def format_signature(sig: tuple[int, ...]) -> str:
-    """Dot-joined text form; unambiguous once entries pass 9.
+    """Dot-joined text form; unambiguous once entries pass 9.  The empty
+    signature prints as ``-``, as the empty permutation does.
 
     >>> format_signature((4, 4, 3, 3, 2))
     '4.4.3.3.2'
     """
-    return ".".join(str(entry) for entry in sig)
+    return ".".join(str(entry) for entry in sig) or "-"
 
 
 def has_plateau(sig: tuple[int, ...]) -> bool:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,45 @@ def test_enumerate_prints_the_result_when_the_cache_cannot_store(capsys, tmp_pat
     )
 
 
+@pytest.mark.parametrize("action", ["ignore", "error"])
+def test_cache_warnings_print_whatever_the_warning_filters(capsys, tmp_path, action):
+    # under PYTHONWARNINGS=ignore the warning line went missing, and under
+    # PYTHONWARNINGS=error the run exited 3 without printing its result
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    corrupt = tmp_path / "cache"
+    corrupt.mkdir()
+    entry = corrupt / f"{harness._cache_key(('132', '321'), 5)}.json"
+    entry.write_text("not json")
+    argv = ("enumerate", "--sigma", "132", "--tau", "321", "--n", "5", "--cache-dir")
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        unstored = invoke(capsys, *argv, str(not_a_dir))
+        unread = invoke(capsys, *argv, str(corrupt))
+    out = "machine 132+321, n=5: 26 sortable permutations\n"
+    assert unstored == (0, out, (
+        "warning: could not store the result in the cache:"
+        f" [Errno 17] File exists: '{not_a_dir}'\n"
+        "scanned in 5 blocks\n"
+    ))
+    assert unread == (0, out, (
+        f"warning: discarding unreadable cache entry {entry.name}:"
+        " Expecting value: line 1 column 1 (char 0)\n"
+        "scanned in 5 blocks\n"
+    ))
+
+
+def test_enumerate_refuses_an_empty_cache_dir(capsys, monkeypatch, tmp_path):
+    # an empty --cache-dir used to fall back to the default cache
+    monkeypatch.setenv("STACKSORT_CACHE_DIR", str(tmp_path))
+    code, out, err = invoke(
+        capsys, "enumerate", "--sigma", "132", "--tau", "321", "--n", "3", "--cache-dir", ""
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --cache-dir must name a directory, got an empty string\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_single_machine(capsys, tmp_path):
     code, out, _ = invoke(
         capsys,
@@ -348,6 +388,15 @@ def test_dyck_perm_golden(capsys):
     assert "b: 11 10 10 9 9 8 6 4 4 4 1" in out
     assert "path: uduuduududdudduuudddud" in out
     assert "dudu factor: no" in out
+
+
+@pytest.mark.parametrize("argv,out", [
+    (("signature", "--perm", "-", "--sigma", "132"), "-\n"),
+    (("west-map", "--perm", "-", "--sigma", "132", "--tau", "123"), "-\nshared signature: -\n"),
+    (("dyck", "--perm", "-"), "b: -\npath: -\ndudu factor: no\n"),
+], ids=["signature", "west-map", "dyck"])
+def test_empty_values_print_as_a_dash(capsys, argv, out):
+    assert invoke(capsys, *argv) == (0, out, "")
 
 
 def test_dyck_count_mode(capsys):

@@ -1,8 +1,10 @@
 import hashlib
 import json
+from itertools import combinations, permutations
 
 import pytest
 
+from stacksort import suites
 from stacksort.harness import (
     CACHE_ENV_VAR,
     CorruptCacheEntry,
@@ -12,6 +14,7 @@ from stacksort.harness import (
     SuiteReport,
     VerificationReport,
     _canonical,
+    _enumerate,
     _report,
     cache_load,
     cache_store,
@@ -131,6 +134,22 @@ def test_report_rendering_shapes():
 
 def test_west_suite_small():
     assert verify_west(5).passed
+
+
+def test_append_closure_finds_the_same_failures_from_the_sortable_words_alone():
+    # the structure suite checks every x up to APPEND_CLOSURE_FULL_MAX and
+    # only the sortable x above it: deleting the last entry of a sortable word keeps
+    # it sortable, so a non-sortable x cannot fail.  Most other pairs break
+    # the closure, so both loops must find the same failures there too.
+    threes = [P(d) for d in ("123", "132", "213", "231", "312", "321")]
+    full_max = suites.APPEND_CLOSURE_FULL_MAX
+    pairs = [(pair, 6) for pair in combinations(threes, 2)] + [((P("123"), P("321")), full_max)]
+    for pair, n_max in pairs:
+        for n in range(1, n_max + 1):
+            sortable = _enumerate(n, pair, True, 1).witnesses
+            every_x = map(Permutation, permutations(range(1, n + 1)))
+            full = list(suites._append_closure_failures(n, pair, sortable, every_x))
+            assert full == list(suites._append_closure_failures(n, pair, sortable, sortable))
 
 
 def test_run_suites_clamps_to_caps():
@@ -287,3 +306,7 @@ def test_enumerate_cached_flags_the_source(tmp_path):
 def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "elsewhere"))
     assert default_cache_dir() == tmp_path / "elsewhere"
+    # an empty variable counts as unset
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert default_cache_dir() == tmp_path / "xdg" / "stacksort"

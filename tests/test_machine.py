@@ -13,6 +13,8 @@ from stacksort.machine import (
     DegeneratePair,
     EmptyPatternSet,
     StackTrace,
+    _compile,
+    _sortable_word,
     is_sortable,
     machine,
     pattern_name,
@@ -44,6 +46,8 @@ PAIRS = [
     (P("213"), P("312")),
     (P("123"), P("231")),
 ]
+
+THREES = [P(d) for d in ("123", "132", "213", "231", "312", "321")]
 
 
 def test_golden_figures():
@@ -93,17 +97,40 @@ def test_machine_output_is_permutation():
 
 
 def test_sortable_iff_intermediate_avoids_231():
-    # is_sortable stops at the first value the second stack emits out of
-    # order; the increasing stack sorts exactly the 231-avoiders, and the
-    # oracle reruns both stacks from scratch
-    for sigma, tau in PAIRS:
+    # the sortability test checks the second stack's pops as the first
+    # stack's output reaches it, with no second pass; the increasing stack
+    # sorts exactly the 231-avoiders, and the oracle reruns both stacks from
+    # scratch.  Every pair of distinct 3-patterns and every single 3-pattern.
+    machines = list(combinations(THREES, 2)) + [(p,) for p in THREES]
+    for patterns in machines:
+        first_stack = PatternSet.of(*patterns)
+        compiled = _compile(first_stack)
+        entries = [p.entries for p in patterns]
         for n in range(7):
             for x in all_perms(n):
-                mid = pattern_stack_pass(x, PatternSet.of(sigma, tau))
-                sortable = is_sortable(x, sigma, tau)
-                assert sortable == (not oracles.contains(mid.entries, (2, 3, 1))), (x, sigma, tau)
-                assert sortable == oracles.machine_sorts(x.entries, sigma.entries, tau.entries)
-                assert sortable == (machine(x, sigma, tau) == identity(n))
+                mid = pattern_stack_pass(x, first_stack)
+                sortable = _sortable_word(x.entries, compiled)
+                assert sortable == (not oracles.contains(mid.entries, (2, 3, 1))), (x, patterns)
+                assert sortable == oracles.machine_sorts(x.entries, *entries)
+                assert sortable == (west_pass(mid) == identity(n))
+                if len(patterns) == 2:
+                    assert sortable == is_sortable(x, *patterns)
+                    assert sortable == (machine(x, *patterns) == identity(n))
+
+
+def test_sortable_word_reads_no_input_past_the_first_value_out_of_order():
+    # the (132, 321) stack sends the identity's 2 out when 3 arrives and its
+    # 3 out when 4 arrives; 2 then leaves the second stack ahead of 1, so the
+    # test answers after reading four entries of a longer input
+    read = []
+
+    def entries():
+        for v in range(1, 21):
+            read.append(v)
+            yield v
+
+    assert not _sortable_word(entries(), _compile(PatternSet.of(P("132"), P("321"))))
+    assert read == [1, 2, 3, 4]
 
 
 def test_degenerate_and_empty_pattern_sets():
@@ -204,8 +231,7 @@ def test_deleting_the_last_entry_keeps_a_word_sortable():
     # the lemma behind growing the sortable set at its last entry: the
     # standardized prefix of a sortable word is sortable, for every pair of
     # distinct 3-patterns and the single patterns 123, 132 and 321
-    threes = [P(d) for d in ("123", "132", "213", "231", "312", "321")]
-    machines = list(combinations(threes, 2)) + [(P("123"),), (P("132"),), (P("321"),)]
+    machines = list(combinations(THREES, 2)) + [(P("123"),), (P("132"),), (P("321"),)]
     for patterns in machines:
         entries = [p.entries for p in patterns]
         shorter = {()}

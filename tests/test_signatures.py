@@ -39,6 +39,7 @@ def all_perms(n):
 def test_golden_signature():
     assert signature(P("45231"), P132) == (4, 4, 3, 3, 2)
     assert format_signature((4, 4, 3, 3, 2)) == "4.4.3.3.2"
+    assert format_signature(()) == "-"
 
 
 def test_signature_refuses_a_perm_past_the_length_limit_before_any_work(monkeypatch):
