@@ -37,6 +37,7 @@ exceptions, such as ``signatures.NoMatch`` from ``west_map`` and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -85,6 +86,12 @@ FORMATS = ("text", "json", "csv")
 #: here; the first term that does not is the large Schroder number S_54.
 SEQUENCES_N_MAX = 53
 
+#: Most pattern subsets a trace's push tests may check: a pattern of length k
+#: checks up to C(L - 1, k - 1) subsets of the stack on a --perm of length L.
+#: This is two length-4 patterns on a --perm of PERM_LENGTH_LIMIT entries.
+TRACE_COST_LIMIT = 2 * math.comb(PERM_LENGTH_LIMIT - 1, 3)
+
+
 def _parse_perm(token: str) -> Permutation:
     x = parse_permutation(token)
     if len(x) > PERM_LENGTH_LIMIT:
@@ -131,6 +138,14 @@ def _cmd_trace(args: argparse.Namespace) -> Answer:
     x = _parse_perm(args.perm)
     sigma = parse_pattern(args.sigma)
     tau = parse_pattern(args.tau)
+    # a star pattern is tested as its classical base
+    sizes = [len(p.base if isinstance(p, BivincularPattern) else p) for p in (sigma, tau)]
+    cost = sum(math.comb(max(len(x) - 1, 0), max(k - 1, 0)) for k in sizes)
+    if cost > TRACE_COST_LIMIT:
+        raise LengthTooLarge(
+            f"patterns of length {sizes[0]} and {sizes[1]} on a --perm of length {len(x)}"
+            f" may test {cost} stack subsets a push, above the limit {TRACE_COST_LIMIT}"
+        )
     _load("machine")
     mid, first = pattern_stack_pass(x, machine_patterns(sigma, tau), want_trace=True)
     out, second = west_pass(mid, want_trace=True)

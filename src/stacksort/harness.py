@@ -1,11 +1,13 @@
 """The enumeration engine, its result cache, and verification reports.
 
 ``enumerate_sortable`` scans S_n for the permutations one machine sorts.
-Scans partition S_n by first entry into n blocks.  Blocks are merged in
-first-entry order and the merge is plain summation, so results do not
-depend on how many workers processed them; reports and results serialize
-to the same bytes whatever the worker count.  ``enumerate_cached`` answers
-from a checksummed file per (machine, n) when it can and scans otherwise.
+Scans partition S_n by first entry into n blocks; S_0's empty word is one
+block of its own, so a scan runs max(n, 1) blocks, the number a result
+reports as ``worker_partitions``.  Blocks are merged in first-entry order
+and the merge is plain summation, so results do not depend on how many
+workers processed them; reports and results serialize to the same bytes
+whatever the worker count.  ``enumerate_cached`` answers from a
+checksummed file per (machine, n) when it can and scans otherwise.
 Lengths above ``perms.DEFAULT_GENERATION_CAP`` are refused before any scan.
 
 ``_report`` builds every suite's report from the claims it declares and
@@ -77,12 +79,11 @@ class CacheStoreFailed(UserWarning):
 class EnumerationResult(_Frozen):
     """Count (and optionally the members) of one machine's sortable set."""
 
-    __slots__ = ("machine", "n", "count", "witnesses", "worker_partitions")
+    __slots__ = ("machine", "n", "count", "witnesses")
     machine: tuple[str, ...]
     n: int
     count: int
     witnesses: tuple[Permutation, ...] | None
-    worker_partitions: int
 
     def __init__(
         self,
@@ -90,14 +91,18 @@ class EnumerationResult(_Frozen):
         n: int,
         count: int,
         witnesses: tuple[Permutation, ...] | None,
-        worker_partitions: int,
     ) -> None:
-        self._freeze(machine, n, count, witnesses, worker_partitions)
+        self._freeze(machine, n, count, witnesses)
         if witnesses is not None and len(witnesses) != count:
             raise ValueError("witness list disagrees with the count")
         for w in witnesses or ():
             if len(w) != n:
                 raise ValueError(f"witness {w} has length {len(w)}, not n={n}")
+
+    @property
+    def worker_partitions(self) -> int:
+        """The blocks a scan of S_n runs: one per first entry, one for S_0."""
+        return max(self.n, 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -112,31 +117,35 @@ class EnumerationResult(_Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EnumerationResult":
-        witnesses = data["witnesses"]
+        machine, n, count, witnesses = (data[k] for k in ("machine", "n", "count", "witnesses"))
+        if not isinstance(machine, list) or not all(isinstance(t, str) for t in machine):
+            raise TypeError("machine must be a list of pattern names")
+        # bool is a subclass of int, and a JSON number may be a float
+        if not all(type(v) is int and v >= 0 for v in (n, count)):
+            raise TypeError("n and count must be nonnegative integers")
         if witnesses is not None and not all(isinstance(w, str) for w in witnesses):
             raise TypeError("witnesses must be permutation strings")
         return cls(
-            tuple(data["machine"]),
-            data["n"],
-            data["count"],
+            tuple(machine),
+            n,
+            count,
             None if witnesses is None else tuple(parse_permutation(w) for w in witnesses),
-            data["worker_partitions"],
         )
 
 
-def _scan_block(args: tuple[int, int, tuple[Permutation, ...], bool]) -> tuple[int, tuple]:
-    """Count sortable permutations of S_n whose first entry is fixed."""
+def _scan_block(args: tuple[int, tuple, tuple[Permutation, ...], bool]) -> tuple[int, tuple]:
+    """Count sortable permutations of S_n that start with a fixed prefix."""
     # machine is imported where the engine scans, not at module level: a
     # cache hit then loads no layer beyond perms
     from .machine import _compile, _sortable_word
 
-    n, first, patterns, keep = args
+    n, prefix, patterns, keep = args
     compiled = _compile(PatternSet.of(*patterns))
-    rest = [v for v in range(1, n + 1) if v != first]
+    rest = [v for v in range(1, n + 1) if v not in prefix]
     count = 0
     found = []
     for tail in itertools.permutations(rest):
-        word = (first, *tail)
+        word = prefix + tail
         if _sortable_word(word, compiled):
             count += 1
             if keep:
@@ -161,11 +170,9 @@ def _enumerate(
         raise LengthTooLarge(f"n={n} above the enumeration cap {DEFAULT_GENERATION_CAP}")
     _require_workers(workers)
     tokens = tuple(pattern_name(p) for p in patterns)
-    if n == 0:
-        witnesses = (Permutation(()),) if keep else None
-        return EnumerationResult(tokens, 0, 1, witnesses, 1)
-
-    blocks = [(n, first, patterns, keep) for first in range(1, n + 1)]
+    # one block per first entry; S_0's one block is the empty prefix
+    prefixes = itertools.permutations(range(1, n + 1), min(n, 1))
+    blocks = [(n, prefix, patterns, keep) for prefix in prefixes]
     if workers == 1:
         parts = [_scan_block(block) for block in blocks]
     else:
@@ -173,14 +180,14 @@ def _enumerate(
         # would otherwise slow the start of every CLI process
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             parts = list(pool.map(_scan_block, blocks))
 
     count = sum(part_count for part_count, _ in parts)
     witnesses = (
         tuple(Permutation(w) for _, words in parts for w in words) if keep else None
     )
-    return EnumerationResult(tokens, n, count, witnesses, len(blocks))
+    return EnumerationResult(tokens, n, count, witnesses)
 
 
 def enumerate_sortable(

@@ -1,17 +1,21 @@
+import ast
 import contextlib
 import hashlib
 import importlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
+import oracles
 import stacksort
 from stacksort import cli, harness, signatures, suites
 from stacksort.cli import build_parser, run
@@ -83,6 +87,45 @@ def test_trace_of_the_empty_permutation(capsys):
             "output: -\n"
             "sorted: yes\n"
         )
+
+
+def test_trace_refuses_patterns_too_long_for_its_perm_at_once(capsys):
+    # a length-5 pattern tests every 4-subset of the stack at each push, so
+    # this input would run for minutes; the refusal comes before any pass
+    decreasing = ",".join(str(v) for v in range(100, 0, -1))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "trace", "--sigma", "12345", "--tau", "21", "--perm", decreasing)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: patterns of length 5 and 2 on a --perm of length 100 may test"
+        " 3764475 stack subsets a push, above the limit 313698\n"
+    )
+    # a star pattern counts as its base
+    code, _, err = invoke(
+        capsys, "trace", "--sigma", "132-star", "--tau", "123456",
+        "--perm", ",".join(str(v) for v in range(36, 0, -1)),
+    )
+    assert (code, err) == (2, (
+        "error: patterns of length 3 and 6 on a --perm of length 36 may test"
+        " 325227 stack subsets a push, above the limit 313698\n"
+    ))
+    # the limit is two length-4 patterns on the longest --perm, which still runs
+    assert cli.TRACE_COST_LIMIT == 2 * math.comb(99, 3) == 313698
+
+
+def test_trace_runs_a_long_pattern_on_a_short_perm(capsys):
+    patterns = ((5, 4, 3, 2, 1), (1, 3, 2, 4))
+    for x in ((8, 7, 6, 5, 4, 3, 2, 1), (2, 5, 3, 1, 6, 4), (3, 1, 4, 2)):
+        perm = " ".join(map(str, x))
+        code, out, err = invoke(
+            capsys, "trace", "--sigma", "54321", "--tau", "1324", "--perm", perm
+        )
+        assert (code, err) == (0, "")
+        mid = " ".join(map(str, oracles.stack_pass(x, classical=patterns)))
+        assert f"  intermediate: {mid}\n" in out
+        sortable = oracles.machine_sorts(x, *patterns)
+        assert out.endswith(f"sorted: {'yes' if sortable else 'no'}\n")
 
 
 def test_enumerate_at_length_zero_names_the_empty_witness(capsys, tmp_path):
@@ -187,6 +230,43 @@ def test_enumerate_rescans_cached_witnesses_of_the_wrong_length(capsys, tmp_path
         " witness 1 2 3 has length 3, not n=2\n"
         "scanned in 2 blocks\n"
     )
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("stored", [None, 7, "lots"])
+def test_enumerate_serves_an_entry_whatever_its_worker_partitions(capsys, tmp_path, n, stored):
+    # the field is derived from n, so an entry that lacks it or holds
+    # another value is still a hit and prints max(n, 1)
+    argv = (
+        "enumerate", "--sigma", "132", "--tau", "321", "--n", str(n),
+        "--cache-dir", str(tmp_path), "--format", "json",
+    )
+    code, first, _ = invoke(capsys, *argv)
+    assert json.loads(first)["worker_partitions"] == max(n, 1)
+    (entry,) = tmp_path.glob("*.json")
+    doc = json.loads(entry.read_text())
+    if stored is None:
+        del doc["result"]["worker_partitions"]
+    else:
+        doc["result"]["worker_partitions"] = stored
+    doc["checksum"] = hashlib.sha256(harness._canonical(doc["result"]).encode()).hexdigest()
+    entry.write_text(json.dumps(doc))
+    assert invoke(capsys, *argv) == (0, first, "cache hit\n")
+
+
+def test_enumerate_rescans_an_entry_whose_length_is_a_float(capsys, tmp_path):
+    argv = ("enumerate", "--sigma", "132", "--tau", "321", "--n", "2", "--cache-dir", str(tmp_path))
+    invoke(capsys, *argv)
+    (entry,) = tmp_path.glob("*.json")
+    doc = json.loads(entry.read_text())
+    doc["result"]["n"] = 2.0
+    doc["checksum"] = hashlib.sha256(harness._canonical(doc["result"]).encode()).hexdigest()
+    entry.write_text(json.dumps(doc))
+    assert invoke(capsys, *argv) == (0, "machine 132+321, n=2: 2 sortable permutations\n", (
+        f"warning: discarding unreadable cache entry {entry.name}:"
+        " n and count must be nonnegative integers\n"
+        "scanned in 2 blocks\n"
+    ))
 
 
 def test_enumerate_prints_the_result_when_the_cache_cannot_store(capsys, tmp_path):
@@ -788,6 +868,39 @@ def test_every_traced_entry_point_resolves_in_a_known_layer():
         for name in names:
             fn = getattr(module, name)
             assert fn.__module__.rsplit(".", 1)[-1] in spans.LAYERS, (caller, name)
+
+
+def _layer_names_read_by_the_benchmark() -> set[tuple[str, str]]:
+    """Each (module, attribute) perfbench/layers.py reads off the layers it
+    imports as ``dyck, harness, ... = (import_module(f"stacksort.{name}") ...)``."""
+    tree = ast.parse((SPANS.parent / "layers.py").read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.GeneratorExp):
+            (target,) = node.targets
+            names = node.value.generators[0].iter.elts
+            modules.update(
+                (var.id, f"stacksort.{name.value}") for var, name in zip(target.elts, names)
+            )
+    return {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+
+
+def test_every_layer_name_the_benchmark_reads_resolves():
+    # perfbench/layers.py and spans.CACHES read these names directly; a
+    # cleanup that deletes one breaks only the benchmark's traced runs
+    read = _layer_names_read_by_the_benchmark()
+    assert {("stacksort.signatures", "PATTERN_123"), ("stacksort.machine", "POP_BLOCKED"),
+            ("stacksort.harness", "cache_load")} <= read
+    for module, name in sorted(read):
+        assert hasattr(importlib.import_module(module), name), (module, name)
+    for module, name in _load_spans().CACHES:
+        assert callable(getattr(importlib.import_module(module), name).cache_info), (module, name)
 
 
 def test_a_traced_verify_times_its_suite():

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from stacksort import suites
+from stacksort import harness, suites
 from stacksort.harness import (
     CACHE_ENV_VAR,
     CorruptCacheEntry,
@@ -59,9 +59,46 @@ def test_workers_do_not_change_the_result():
 
 def test_result_validation():
     with pytest.raises(ValueError):
-        EnumerationResult(("132", "321"), 3, 5, (P("123"),), 1)
+        EnumerationResult(("132", "321"), 3, 5, (P("123"),))
     with pytest.raises(ValueError, match="witness 1 2 has length 2, not n=3"):
-        EnumerationResult(("132", "321"), 3, 2, (P("123"), P("12")), 1)
+        EnumerationResult(("132", "321"), 3, 2, (P("123"), P("12")))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("scan", [
+    lambda workers: enumerate_sortable(0, P("132"), P("321"), workers=workers),
+    lambda workers: enumerate_single_machine(0, P("132"), workers=workers),
+], ids=["pair", "single"])
+def test_length_zero_is_scanned_as_one_block(scan, workers):
+    result = scan(workers)
+    assert (result.count, result.witnesses) == (1, (Permutation(()),))
+    assert result.worker_partitions == 1
+
+
+def test_length_zero_runs_the_block_loop_on_the_empty_prefix(monkeypatch):
+    blocks = []
+    scan_block = harness._scan_block
+
+    def recording(block):
+        blocks.append(block[:2])
+        return scan_block(block)
+
+    monkeypatch.setattr(harness, "_scan_block", recording)
+    assert _enumerate(0, (P("132"),), True, 1).count == 1
+    assert _enumerate(3, (P("132"),), True, 1).count == 5
+    assert blocks == [(0, ()), (3, (1,)), (3, (2,)), (3, (3,))]
+
+
+def test_worker_partitions_counts_the_blocks_of_a_scan(tmp_path):
+    for n in range(9):
+        scanned = enumerate_sortable(n, P("123"), P("231"))
+        cache_store(scanned, tmp_path)
+        loaded = cache_load(("123", "231"), n, tmp_path)
+        for result in (scanned, loaded):
+            assert result.worker_partitions == max(n, 1)
+            assert result.to_json_dict()["worker_partitions"] == max(n, 1)
+    with pytest.raises(AttributeError):
+        scanned.worker_partitions = 3
 
 
 def test_result_json_round_trip():
@@ -283,6 +320,28 @@ def test_cache_rejects_witnesses_that_are_not_strings(tmp_path):
     entry.write_text(json.dumps(doc))
     with pytest.warns(CorruptCacheEntry):
         assert cache_load(("132", "321"), 2, tmp_path) is None
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 9.0),
+    ("count", 1820.0),
+    ("count", -1),
+    ("count", True),
+    ("count", "1820"),
+    ("machine", ["132", 321]),
+    ("machine", "132+321"),
+])
+def test_cache_rejects_fields_of_the_wrong_type(tmp_path, field, value):
+    # the checksum covers the bytes, not the types: n=9.0 equals 9 and
+    # would print as "n=9.0: 1820.0"
+    cache_store(EnumerationResult(("132", "321"), 9, 1820, None), tmp_path)
+    (entry,) = tmp_path.glob("*.json")
+    doc = json.loads(entry.read_text())
+    doc["result"][field] = value
+    doc["checksum"] = hashlib.sha256(_canonical(doc["result"]).encode()).hexdigest()
+    entry.write_text(json.dumps(doc))
+    with pytest.warns(CorruptCacheEntry):
+        assert cache_load(("132", "321"), 9, tmp_path) is None
 
 
 def test_cache_version_mismatch_is_silent_miss(tmp_path):

@@ -263,11 +263,10 @@ VALUE_TYPES = [
         "SequenceTable(name='g', offset=0, terms=(1, 1, 2))",
     ),
     (
-        lambda: EnumerationResult(("132",), 1, 1, (Permutation((1,)),), 1),
-        EnumerationResult(("132",), 1, 1, None, 1),
+        lambda: EnumerationResult(("132",), 1, 1, (Permutation((1,)),)),
+        EnumerationResult(("132",), 1, 1, None),
         "count",
-        "EnumerationResult(machine=('132',), n=1, count=1,"
-        " witnesses=(Permutation((1,)),), worker_partitions=1)",
+        "EnumerationResult(machine=('132',), n=1, count=1, witnesses=(Permutation((1,)),))",
     ),
     (
         lambda: VerificationReport("c", (1, 2)),
