@@ -1,13 +1,19 @@
 """The enumeration engine, its result cache, and verification reports.
 
 ``enumerate_sortable`` scans S_n for the permutations one machine sorts.
-Scans partition S_n by first entry into n blocks; S_0's empty word is one
-block of its own, so a scan runs max(n, 1) blocks, the number a result
-reports as ``worker_partitions``.  Blocks are merged in first-entry order
-and the merge is plain summation, so results do not depend on how many
-workers processed them; reports and results serialize to the same bytes
-whatever the worker count.  ``enumerate_cached`` answers from a
-checksummed file per (machine, n) when it can and scans otherwise.
+Every scan enters through ``_enumerate``, which checks the machine and
+compiles its push test once, before it checks n and the worker count: it
+takes classical patterns only, and a pair must be two distinct ones.  Each
+block carries the compiled test, so neither a block nor a pool worker
+compiles anything.  Scans partition S_n by first entry into n blocks;
+S_0's empty word is one block of its own, so a scan runs max(n, 1)
+blocks, the number a result reports as ``worker_partitions``.  Blocks are
+merged in first-entry order and the merge is plain summation, so results
+do not depend on how many workers processed them; reports and results
+serialize to the same bytes whatever the worker count.
+``enumerate_cached`` answers from a checksummed file per (machine, n)
+when it can and scans otherwise; it checks the patterns and the worker
+count before it reads the cache, so a hit refuses them as a scan does.
 Lengths above ``perms.DEFAULT_GENERATION_CAP`` are refused before any scan.
 
 ``_report`` builds every suite's report from the claims it declares and
@@ -38,6 +44,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .perms import (
+    BivincularPattern,
     DEFAULT_GENERATION_CAP,
     LengthTooLarge,
     PATTERN_132,
@@ -133,14 +140,13 @@ class EnumerationResult(_Frozen):
         )
 
 
-def _scan_block(args: tuple[int, tuple, tuple[Permutation, ...], bool]) -> tuple[int, tuple]:
+def _scan_block(args: tuple[int, tuple, tuple, bool]) -> tuple[int, tuple]:
     """Count sortable permutations of S_n that start with a fixed prefix."""
     # machine is imported where the engine scans, not at module level: a
     # cache hit then loads no layer beyond perms
-    from .machine import _compile, _sortable_word
+    from .machine import _sortable_word
 
-    n, prefix, patterns, keep = args
-    compiled = _compile(PatternSet.of(*patterns))
+    n, prefix, compiled, keep = args
     rest = [v for v in range(1, n + 1) if v not in prefix]
     count = 0
     found = []
@@ -158,12 +164,22 @@ def _require_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
+def _require_classical(patterns: tuple) -> None:
+    for p in patterns:
+        if isinstance(p, BivincularPattern):
+            raise ValueError(f"enumeration takes classical patterns, got {pattern_name(p)}")
+
+
 def _enumerate(
     n: int,
     patterns: tuple[Permutation, ...],
     keep: bool,
     workers: int,
 ) -> EnumerationResult:
+    from .machine import _compile, _compile_pair
+
+    _require_classical(patterns)
+    compiled = _compile_pair(*patterns) if len(patterns) > 1 else _compile(PatternSet.of(*patterns))
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > DEFAULT_GENERATION_CAP:
@@ -172,7 +188,7 @@ def _enumerate(
     tokens = tuple(pattern_name(p) for p in patterns)
     # one block per first entry; S_0's one block is the empty prefix
     prefixes = itertools.permutations(range(1, n + 1), min(n, 1))
-    blocks = [(n, prefix, patterns, keep) for prefix in prefixes]
+    blocks = [(n, prefix, compiled, keep) for prefix in prefixes]
     if workers == 1:
         parts = [_scan_block(block) for block in blocks]
     else:
@@ -197,9 +213,6 @@ def enumerate_sortable(
     workers: int = 1,
 ) -> EnumerationResult:
     """Scan S_n for the permutations the (sigma, tau) machine sorts."""
-    from .machine import _compile_pair
-
-    _compile_pair(sigma, tau)
     return _enumerate(n, (sigma, tau), n <= WITNESS_DEFAULT_MAX, workers)
 
 
@@ -209,9 +222,6 @@ def enumerate_single_machine(
     workers: int = 1,
 ) -> EnumerationResult:
     """Same scan with a one-pattern stack."""
-    from .machine import _compile
-
-    _compile(PatternSet.of(sigma))
     return _enumerate(n, (sigma,), n <= WITNESS_DEFAULT_MAX, workers)
 
 
@@ -551,6 +561,9 @@ def enumerate_cached(
     """Cache-aware enumeration; the flag reports whether the cache answered."""
     patterns = (sigma,) if tau is None else (sigma, tau)
     tokens = tuple(pattern_name(p) for p in patterns)
+    # checked before the cache is read, so a hit refuses them as a scan does
+    _require_classical(patterns)
+    _require_workers(workers)
     hit = cache_load(tokens, n, cache_dir)
     if hit is not None:
         return hit, True

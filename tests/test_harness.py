@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 from itertools import combinations, permutations
 
@@ -28,10 +29,13 @@ from stacksort.harness import (
     verify_characterization,
     verify_west,
 )
-from stacksort.perms import Permutation
+from stacksort.machine import DegeneratePair
+from stacksort.perms import STAR_132, PatternSet, Permutation
 from stacksort.sequences import SequenceTable
 
 P = Permutation.from_digits
+# the package's own ``machine`` name is the two-stack function, not the layer
+machine = importlib.import_module("stacksort.machine")
 
 
 def test_enumeration_counts():
@@ -81,12 +85,62 @@ def test_length_zero_runs_the_block_loop_on_the_empty_prefix(monkeypatch):
 
     def recording(block):
         blocks.append(block[:2])
+        # every block carries the push test _enumerate compiled
+        assert block[2] is machine._compile(PatternSet.of(P("132")))
         return scan_block(block)
 
     monkeypatch.setattr(harness, "_scan_block", recording)
     assert _enumerate(0, (P("132"),), True, 1).count == 1
     assert _enumerate(3, (P("132"),), True, 1).count == 5
     assert blocks == [(0, ()), (3, (1,)), (3, (2,)), (3, (3,))]
+
+
+@pytest.mark.parametrize("patterns,compiler,count", [
+    ((P("132"), P("321")), "_compile_pair", 26),
+    ((P("132"),), "_compile", 51),
+], ids=["pair", "single"])
+def test_enumerate_compiles_the_machine_once(monkeypatch, patterns, compiler, count):
+    # warm the caches, so _compile_pair answers without calling _compile
+    machine._compile_pair(P("132"), P("321"))
+    calls = []
+
+    def counting(name):
+        original = getattr(machine, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+
+        return call
+
+    for name in ("_compile", "_compile_pair"):
+        monkeypatch.setattr(machine, name, counting(name))
+    assert _enumerate(5, patterns, True, 1).count == count
+    assert calls == [compiler]
+
+
+@pytest.mark.parametrize("n,workers", [(4, 1), (-1, 1), (13, 1), (4, 0)])
+def test_enumerate_refuses_a_degenerate_pair_before_anything_else(n, workers):
+    with pytest.raises(DegeneratePair, match="need two distinct patterns, got 132 twice"):
+        _enumerate(n, (P("132"), P("132")), True, workers)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: enumerate_sortable(5, STAR_132, P("321")),
+    lambda: enumerate_sortable(5, P("321"), STAR_132),
+    lambda: enumerate_single_machine(5, STAR_132),
+    lambda: _enumerate(5, (STAR_132,), False, 1),
+], ids=["sigma", "tau", "single", "engine"])
+def test_enumeration_refuses_star_patterns(scan):
+    with pytest.raises(ValueError, match="^enumeration takes classical patterns, got 132-star$"):
+        scan()
+
+
+def test_enumerate_cached_refuses_a_star_machine_it_holds(tmp_path):
+    # an entry stored before star patterns were refused
+    cache_store(EnumerationResult(("132-star", "321"), 5, 19, None), tmp_path)
+    with pytest.raises(ValueError, match="^enumeration takes classical patterns, got 132-star$"):
+        enumerate_cached(5, STAR_132, P("321"), cache_dir=tmp_path)
 
 
 def test_worker_partitions_counts_the_blocks_of_a_scan(tmp_path):
@@ -203,9 +257,13 @@ def test_run_suites_rejects_unknown_names():
         run_suites(["nonsense"], n_max=4)
 
 
-def test_worker_counts_below_one_are_refused():
+def test_worker_counts_below_one_are_refused(tmp_path):
     with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
         enumerate_sortable(5, P("132"), P("321"), workers=0)
+    # a cache hit refuses the count as a scan does
+    enumerate_cached(5, P("132"), P("321"), cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        enumerate_cached(5, P("132"), P("321"), workers=0, cache_dir=tmp_path)
     # the west suite scans no S_n, so run_suites checks the count itself
     with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
         run_suites(["west"], 3, workers=0)
