@@ -26,11 +26,12 @@ Handlers name no statistic: ``conjecture`` joins each table's own
 ``render_text``.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
-2 on usage errors (argparse's own convention, which covers ``--workers``
-below 1) and on refused inputs, 3 on any other exception,
-which is a bug in the package and is reported as one "internal error:"
-line on stderr.  Every refusal is a ``ValueError``; the package's other
-exceptions, such as ``signatures.NoMatch`` from ``west_map`` and
+2 on usage errors and refused inputs, 3 on any other exception, which is
+a bug in the package and is reported as one "internal error:" line on
+stderr.  Every refusal is a ``ValueError``, raised by the layer that owns
+its rule; this module refuses only what no layer holds, such as an empty
+``--cache-dir``.  The package's other exceptions, such as
+``signatures.NoMatch`` from ``west_map`` and
 ``sequences.NonIntegerCoefficient``, signal bugs and exit 3.
 """
 
@@ -50,7 +51,6 @@ from .perms import (
     SUITE_CAPS,
     BivincularPattern,
     LengthTooLarge,
-    MalformedToken,
     Permutation,
     contains_classical,
     format_permutation,
@@ -99,13 +99,6 @@ def _parse_perm(token: str) -> Permutation:
             f"--perm has length {len(x)}, above the limit {PERM_LENGTH_LIMIT}"
         )
     return x
-
-
-def _classical_pattern(token: str, flag: str) -> Permutation:
-    p = parse_pattern(token)
-    if isinstance(p, BivincularPattern):
-        raise MalformedToken(f"{flag} takes a classical pattern, got {token!r}")
-    return p
 
 
 class Answer(NamedTuple):
@@ -174,8 +167,8 @@ def _cmd_trace(args: argparse.Namespace) -> Answer:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> Answer:
-    sigma = _classical_pattern(args.sigma, "--sigma")
-    tau = _classical_pattern(args.tau, "--tau") if args.tau else None
+    sigma = parse_pattern(args.sigma)
+    tau = None if args.tau is None else parse_pattern(args.tau)
     if args.cache_dir == "":
         raise ValueError("--cache-dir must name a directory, got an empty string")
     cache_dir = None if args.cache_dir is None else Path(args.cache_dir)
@@ -222,7 +215,7 @@ def _cmd_verify(args: argparse.Namespace) -> Answer:
 
 def _cmd_signature(args: argparse.Namespace) -> Answer:
     x = _parse_perm(args.perm)
-    y = _classical_pattern(args.sigma, "--sigma")
+    y = parse_pattern(args.sigma)
     if pattern_name(y) not in ("123", "132"):
         raise ValueError(f"--sigma takes 123 or 132, got {args.sigma!r}")
     if contains_classical(x, y):
@@ -246,8 +239,8 @@ def _cmd_signature(args: argparse.Namespace) -> Answer:
 
 def _cmd_west_map(args: argparse.Namespace) -> Answer:
     x = _parse_perm(args.perm)
-    source = _classical_pattern(args.sigma, "--sigma")
-    target = _classical_pattern(args.tau, "--tau")
+    source = parse_pattern(args.sigma)
+    target = parse_pattern(args.tau)
     _load("signatures")
     image = west_map(x, source, target)
     sig = signature(x, source)
@@ -351,13 +344,6 @@ def _add_format(p: argparse.ArgumentParser, choices=("text", "json")) -> None:
     p.add_argument("--format", choices=choices, default="text")
 
 
-class _AtLeastOne(argparse.Action):
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < 1:
-            raise argparse.ArgumentError(self, f"must be at least 1, got {value}")
-        setattr(namespace, self.dest, value)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stacksort",
@@ -376,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", default=None)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1, action=_AtLeastOne)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
     _add_format(p, FORMATS)
     p.set_defaults(handler=_cmd_enumerate)
@@ -393,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help=f"largest length to scan (clamped per suite, caps {dict(sorted(SUITE_CAPS.items()))})",
     )
-    p.add_argument("--workers", type=int, default=1, action=_AtLeastOne)
+    p.add_argument("--workers", type=int, default=1)
     _add_format(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -430,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         "conjecture", help="refined distribution tables for the open equinumerosity"
     )
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--workers", type=int, default=1, action=_AtLeastOne)
+    p.add_argument("--workers", type=int, default=1)
     _add_format(p)
     p.set_defaults(handler=_cmd_conjecture)
 

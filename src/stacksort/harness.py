@@ -14,6 +14,7 @@ serialize to the same bytes whatever the worker count.
 ``enumerate_cached`` answers from a checksummed file per (machine, n)
 when it can and scans otherwise; it checks the patterns and the worker
 count before it reads the cache, so a hit refuses them as a scan does.
+With no home directory for the default cache, it warns and scans uncached.
 Lengths above ``perms.DEFAULT_GENERATION_CAP`` are refused before any scan.
 
 ``_report`` builds every suite's report from the claims it declares and
@@ -130,8 +131,10 @@ class EnumerationResult(_Frozen):
         # bool is a subclass of int, and a JSON number may be a float
         if not all(type(v) is int and v >= 0 for v in (n, count)):
             raise TypeError("n and count must be nonnegative integers")
-        if witnesses is not None and not all(isinstance(w, str) for w in witnesses):
-            raise TypeError("witnesses must be permutation strings")
+        if witnesses is not None and not (
+            isinstance(witnesses, list) and all(isinstance(w, str) for w in witnesses)
+        ):
+            raise TypeError("witnesses must be null or a list of permutation strings")
         return cls(
             tuple(machine),
             n,
@@ -542,7 +545,7 @@ def cache_load(
         if list(result.machine) != list(machine) or result.n != n:
             raise ValueError(f"entry holds machine {list(result.machine)}, n={result.n}")
         return result
-    except (OSError, ValueError, KeyError, TypeError) as error:
+    except Exception as error:  # whatever breaks the reading, the entry is at fault
         warnings.warn(
             f"discarding unreadable cache entry {target.name}: {error}",
             CorruptCacheEntry,
@@ -564,21 +567,31 @@ def enumerate_cached(
     # checked before the cache is read, so a hit refuses them as a scan does
     _require_classical(patterns)
     _require_workers(workers)
-    hit = cache_load(tokens, n, cache_dir)
+    try:
+        directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    except RuntimeError as error:  # no home directory to hold ~/.cache
+        warnings.warn(
+            f"no cache directory ({error}); name one with --cache-dir or {CACHE_ENV_VAR}",
+            CacheStoreFailed,
+            stacklevel=2,
+        )
+        directory = None
+    hit = None if directory is None else cache_load(tokens, n, directory)
     if hit is not None:
         return hit, True
     if tau is None:
         result = enumerate_single_machine(n, sigma, workers=workers)
     else:
         result = enumerate_sortable(n, sigma, tau, workers=workers)
-    try:
-        cache_store(result, cache_dir)
-    except OSError as error:
-        warnings.warn(
-            f"could not store the result in the cache: {error}",
-            CacheStoreFailed,
-            stacklevel=2,
-        )
+    if directory is not None:
+        try:
+            cache_store(result, directory)
+        except OSError as error:
+            warnings.warn(
+                f"could not store the result in the cache: {error}",
+                CacheStoreFailed,
+                stacklevel=2,
+            )
     return result, False
 
 

@@ -314,6 +314,40 @@ def test_cache_warnings_print_whatever_the_warning_filters(capsys, tmp_path, act
     ))
 
 
+def test_enumerate_rescans_an_entry_nested_too_deep_to_parse(capsys, tmp_path):
+    # json.loads raises RecursionError here, which used to exit 3
+    entry = tmp_path / f"{harness._cache_key(('132', '321'), 5)}.json"
+    entry.write_text("[" * 200_000)
+    code, out, err = invoke(
+        capsys, "enumerate", "--sigma", "132", "--tau", "321", "--n", "5", "--cache-dir", str(tmp_path)
+    )
+    assert (code, out) == (0, "machine 132+321, n=5: 26 sortable permutations\n")
+    warning, note = err.splitlines()
+    assert warning.startswith(f"warning: discarding unreadable cache entry {entry.name}: ")
+    assert note == "scanned in 5 blocks"
+
+
+def test_enumerate_scans_uncached_without_a_home_directory(capsys, monkeypatch, tmp_path):
+    # a container run with --user may have no home directory; enumerate
+    # used to exit 3 on the RuntimeError from Path.home
+    for name in ("HOME", "XDG_CACHE_HOME", "STACKSORT_CACHE_DIR"):
+        monkeypatch.delenv(name, raising=False)
+
+    def no_home(cls):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.setattr(Path, "home", classmethod(no_home))
+    monkeypatch.chdir(tmp_path)
+    assert invoke(capsys, "enumerate", "--sigma", "132", "--tau", "321", "--n", "4") == (
+        0,
+        "machine 132+321, n=4: 10 sortable permutations\n",
+        "warning: no cache directory (Could not determine home directory.);"
+        " name one with --cache-dir or STACKSORT_CACHE_DIR\n"
+        "scanned in 4 blocks\n",
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_refuses_an_empty_cache_dir(capsys, monkeypatch, tmp_path):
     # an empty --cache-dir used to fall back to the default cache
     monkeypatch.setenv("STACKSORT_CACHE_DIR", str(tmp_path))
@@ -346,30 +380,38 @@ def test_enumerate_refuses_past_the_enumeration_cap(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["enumerate", "--sigma", "132", "--n", "3"],
+    ["enumerate", "--sigma", "132", "--n", "3", "--cache-dir", "cache"],
     ["verify", "--suite", "west", "--n-max", "2"],
     ["conjecture", "--n", "2"],
 ])
-def test_workers_below_one_is_a_usage_error(capsys, argv):
-    # refused while parsing, before anything scans or touches a cache
+def test_workers_below_one_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # the engine refuses, before anything scans or touches a cache
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("STACKSORT_CACHE_DIR", str(cache))
     for workers in ("0", "-5"):
-        with pytest.raises(SystemExit) as exc:
-            run([*argv, "--workers", workers])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.endswith(
-            f"error: argument --workers: must be at least 1, got {workers}\n"
+        assert invoke(capsys, *argv, "--workers", workers) == (
+            2, "", f"error: workers must be at least 1, got {workers}\n"
         )
+    assert list(cache.iterdir()) == []
 
 
 def test_enumerate_rejects_star_patterns(capsys, tmp_path):
-    code, _, err = invoke(
-        capsys,
-        "enumerate", "--sigma", "132-star", "--n", "4", "--cache-dir", str(tmp_path),
+    for patterns in (("--sigma", "132-star"), ("--sigma", "132", "--tau", "132-star")):
+        assert invoke(
+            capsys, "enumerate", *patterns, "--n", "4", "--cache-dir", str(tmp_path)
+        ) == (2, "", "error: enumeration takes classical patterns, got 132-star\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_enumerate_refuses_an_empty_tau(capsys, tmp_path):
+    # an empty --tau used to scan the single-132 machine and print its 15
+    code, out, err = invoke(
+        capsys, "enumerate", "--sigma", "132", "--tau", "", "--n", "4", "--cache-dir", str(tmp_path)
     )
-    assert code == 2
-    assert "classical" in err
+    assert (code, out, err) == (2, "", "error: forbidden patterns must have length >= 2\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):
@@ -402,7 +444,7 @@ def test_signature_golden(capsys):
     assert out.splitlines()[0] == "4.4.3.3.2"
 
 
-@pytest.mark.parametrize("sigma", ["12", "321", "1234"])
+@pytest.mark.parametrize("sigma", ["12", "321", "1234", "132-star"])
 def test_signature_refuses_a_sigma_other_than_123_or_132(capsys, sigma):
     code, out, err = invoke(capsys, "signature", "--perm", "2413", "--sigma", sigma)
     assert (code, out, err) == (2, "", f"error: --sigma takes 123 or 132, got '{sigma}'\n")
@@ -428,11 +470,10 @@ def test_west_map_golden(capsys):
 
 
 def test_west_map_rejects_bad_direction(capsys):
-    code, _, err = invoke(
-        capsys, "west-map", "--perm", "321", "--sigma", "132", "--tau", "132"
-    )
-    assert code == 2
-    assert "error:" in err
+    for sigma, tau in (("132", "132"), ("132-star", "123"), ("132", "123-star")):
+        assert invoke(capsys, "west-map", "--perm", "321", "--sigma", sigma, "--tau", tau) == (
+            2, "", "error: matching is defined between 132-avoiders and 123-avoiders only\n"
+        )
 
 
 def test_west_map_refuses_past_the_generation_cap(capsys):

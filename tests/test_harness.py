@@ -11,7 +11,6 @@ from stacksort.harness import (
     CorruptCacheEntry,
     EnumerationResult,
     SUITE_CAPS,
-    SUITES,
     SuiteReport,
     VerificationReport,
     _canonical,
@@ -24,14 +23,12 @@ from stacksort.harness import (
     enumerate_cached,
     enumerate_single_machine,
     enumerate_sortable,
-    find_alignment,
     run_suites,
-    verify_characterization,
-    verify_west,
 )
 from stacksort.machine import DegeneratePair
 from stacksort.perms import STAR_132, PatternSet, Permutation
 from stacksort.sequences import SequenceTable
+from stacksort.suites import SUITES, find_alignment, verify_characterization, verify_west
 
 P = Permutation.from_digits
 # the package's own ``machine`` name is the two-stack function, not the layer
@@ -388,18 +385,25 @@ def test_cache_rejects_witnesses_that_are_not_strings(tmp_path):
     ("count", "1820"),
     ("machine", ["132", 321]),
     ("machine", "132+321"),
+    ("witnesses", "1"),
+    ("witnesses", {"1": 0}),
 ])
 def test_cache_rejects_fields_of_the_wrong_type(tmp_path, field, value):
     # the checksum covers the bytes, not the types: n=9.0 equals 9 and
-    # would print as "n=9.0: 1820.0"
-    cache_store(EnumerationResult(("132", "321"), 9, 1820, None), tmp_path)
+    # would print as "n=9.0: 1820.0", and on an n = 1 entry the string "1"
+    # or the object {"1": 0} iterates as the one witness 1
+    if field == "witnesses":
+        result = EnumerationResult(("132", "321"), 1, 1, (P("1"),))
+    else:
+        result = EnumerationResult(("132", "321"), 9, 1820, None)
+    cache_store(result, tmp_path)
     (entry,) = tmp_path.glob("*.json")
     doc = json.loads(entry.read_text())
     doc["result"][field] = value
     doc["checksum"] = hashlib.sha256(_canonical(doc["result"]).encode()).hexdigest()
     entry.write_text(json.dumps(doc))
     with pytest.warns(CorruptCacheEntry):
-        assert cache_load(("132", "321"), 9, tmp_path) is None
+        assert cache_load(result.machine, result.n, tmp_path) is None
 
 
 def test_cache_version_mismatch_is_silent_miss(tmp_path):

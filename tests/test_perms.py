@@ -294,7 +294,8 @@ def test_value_types_compare_hash_print_and_pickle_by_their_fields(build, other,
     with pytest.raises(AttributeError):
         a.extra = 1
     assert a == b
-    # --workers 2 sends patterns to the worker processes by pickle
+    # the scan's worker processes receive the compiled push test, not these
+    # types, but a value sent to any other process travels by pickle
     copy = pickle.loads(pickle.dumps(a))
     assert type(copy) is type(a) and copy == a and repr(copy) == text
 
