@@ -49,7 +49,6 @@ import stacksort
 from .perms import (
     PERM_LENGTH_LIMIT,
     SUITE_CAPS,
-    BivincularPattern,
     LengthTooLarge,
     Permutation,
     contains_classical,
@@ -131,8 +130,7 @@ def _cmd_trace(args: argparse.Namespace) -> Answer:
     x = _parse_perm(args.perm)
     sigma = parse_pattern(args.sigma)
     tau = parse_pattern(args.tau)
-    # a star pattern is tested as its classical base
-    sizes = [len(p.base if isinstance(p, BivincularPattern) else p) for p in (sigma, tau)]
+    sizes = [len(p) for p in (sigma, tau)]
     cost = sum(math.comb(max(len(x) - 1, 0), max(k - 1, 0)) for k in sizes)
     if cost > TRACE_COST_LIMIT:
         raise LengthTooLarge(
@@ -351,7 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("trace", help="step-by-step run of the two-stack machine")
+    p = sub.add_parser(
+        "trace",
+        help="step-by-step run of the two-stack machine",
+        description="Step-by-step run of the two-stack machine. A pattern of length k may"
+        " test up to C(L - 1, k - 1) stack subsets a push on a --perm of length L (a star"
+        " pattern counts as length 3); trace refuses a pair whose two counts sum to more"
+        f" than {TRACE_COST_LIMIT:,}. A pass runs one test before every push and every blocked"
+        " pop, so an accepted trace can still take about 20 s, for example --sigma 2134"
+        " --tau 1324 on the decreasing --perm of length 100.",
+    )
     p.add_argument("--sigma", required=True, help="first forbidden pattern")
     p.add_argument("--tau", required=True, help="second forbidden pattern")
     p.add_argument("--perm", required=True, help="input permutation")

@@ -19,7 +19,7 @@ The push test lives in ``perms``: ``_ends_at`` is the same new-entry test
 the avoider generator runs on its prefix.  The stack is kept as a list from
 bottom to top, the reverse of the word it must avoid, so ``_compile`` hands
 it the reversed classical patterns; bivincular patterns are checked on the
-whole top-to-bottom word.
+whole top-to-bottom word by ``perms._word_contains``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .perms import (
     _compile_classical,
     _ends_at,
     _word_contains,
-    _word_contains_bivincular,
     pattern_name,
 )
 
@@ -98,9 +97,7 @@ class StackTrace(NamedTuple):
 
 
 def pattern_set_names(patterns: PatternSet) -> list[str]:
-    return [pattern_name(p) for p in patterns.classical] + [
-        pattern_name(p) for p in patterns.bivincular
-    ]
+    return [pattern_name(p) for p in patterns]
 
 
 # ---- the pass itself ---------------------------------------------------
@@ -118,8 +115,6 @@ def _compile(patterns: PatternSet):
     """
     if patterns.is_empty():
         raise EmptyPatternSet("need at least one forbidden pattern")
-    if min(map(len, patterns.classical + tuple(b.base for b in patterns.bivincular))) < 2:
-        raise ValueError("forbidden patterns must have length >= 2")
     classical = _compile_classical(tuple(p.entries[::-1] for p in patterns.classical))
     if not patterns.bivincular:
         return _ends_at, classical
@@ -131,9 +126,7 @@ def _blocked_with_bivincular(stack: list[int], v: int, compiled) -> bool:
     two stack values adjacent, so they are checked on the whole stack word."""
     classical, bivincular = compiled
     word = (v, *reversed(stack))
-    return _ends_at(stack, v, classical) or any(
-        _word_contains_bivincular(word, b) for b in bivincular
-    )
+    return _ends_at(stack, v, classical) or any(_word_contains(word, b) for b in bivincular)
 
 
 def _pops(word: Iterable[int], compiled) -> Iterator[int]:
@@ -288,10 +281,7 @@ def validate_trace(trace: StackTrace) -> None:
             raise InvalidTrace(what)
 
     def stack_legal(word: tuple[int, ...]) -> bool:
-        return not (
-            any(_word_contains(word, p.entries) for p in patterns.classical)
-            or any(_word_contains_bivincular(word, b) for b in patterns.bivincular)
-        )
+        return not any(_word_contains(word, p) for p in patterns)
 
     prev_rest = trace.input.entries
     prev_stack: tuple[int, ...] = ()

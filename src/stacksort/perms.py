@@ -8,8 +8,10 @@ operate on raw ``tuple[int, ...]`` words use ordinary Python indexing.
 ``parse_permutation`` and ``parse_pattern`` are the package's one reader of
 permutation and pattern text, the inverses of ``str`` and ``pattern_name``.
 
-``_ends_at`` is the one new-entry test: ``avoiders`` runs it on each prefix
-it extends, and the stack machine on its stack with the patterns reversed.
+``_word_contains`` is the one containment search, classical or bivincular, and
+``_ends_at`` the one new-entry test: ``avoiders`` runs it on each prefix it
+extends, and the stack machine on its stack with the patterns reversed.
+``PatternSet`` owns the rule that every forbidden pattern has length >= 2.
 """
 
 from __future__ import annotations
@@ -307,6 +309,8 @@ class BivincularPattern(_Frozen):
         adjacent_positions: Iterable[int] = frozenset(),
         adjacent_values: Iterable[int] = frozenset(),
     ) -> None:
+        if not isinstance(base, Permutation):
+            raise TypeError(f"not a permutation: {base!r}")
         self._freeze(base, frozenset(adjacent_positions), frozenset(adjacent_values))
         m = len(self.base)
         for i in self.adjacent_positions:
@@ -315,6 +319,9 @@ class BivincularPattern(_Frozen):
         for v in self.adjacent_values:
             if not 1 <= v <= m - 1:
                 raise ValueError(f"value constraint {v} not in 1..{m - 1}")
+
+    def __len__(self) -> int:
+        return len(self.base)
 
 
 PATTERN_21 = Permutation((2, 1))
@@ -330,7 +337,7 @@ STAR_132 = BivincularPattern(PATTERN_132, frozenset({2}), frozenset({2}))
 
 
 class PatternSet(_Frozen):
-    """The patterns a stack is forbidden from containing, split by kind."""
+    """Forbidden patterns, each of length >= 2; iterating yields the classical ones first."""
 
     __slots__ = ("classical", "bivincular")
     classical: tuple[Permutation, ...]
@@ -341,6 +348,8 @@ class PatternSet(_Frozen):
         classical: tuple[Permutation, ...] = (),
         bivincular: tuple[BivincularPattern, ...] = (),
     ) -> None:
+        if any(len(p) < 2 for p in classical + bivincular):
+            raise ValueError("forbidden patterns must have length >= 2")
         self._freeze(classical, bivincular)
 
     @classmethod
@@ -363,6 +372,9 @@ class PatternSet(_Frozen):
         if isinstance(obj, PatternSet):
             return obj
         return cls.of(*obj)
+
+    def __iter__(self) -> Iterator[Permutation | BivincularPattern]:
+        return iter(self.classical + self.bivincular)
 
     def is_empty(self) -> bool:
         return not self.classical and not self.bivincular
@@ -403,13 +415,22 @@ def _order_iso(sub: Sequence[int], pat: Sequence[int]) -> bool:
     return True
 
 
-def _word_contains(word: Sequence[int], pat: Sequence[int]) -> bool:
-    """Classical containment on an arbitrary word of distinct integers.
+def _word_contains(word: Sequence[int], pattern: Permutation | BivincularPattern) -> bool:
+    """Containment, classical or bivincular, on a word of distinct integers.
 
-    Length 3, the hot path of ``signature`` and ``west_map``, has its own loop.
+    A bivincular occurrence is a classical one that also meets the adjacency
+    constraints.  Unconstrained length 3, the hot path of ``signature`` and
+    ``west_map``, has its own loop.
     """
+    if isinstance(pattern, BivincularPattern):
+        pat = pattern.base.entries
+        adj_pos, adj_val = pattern.adjacent_positions, pattern.adjacent_values
+    else:
+        pat, adj_pos, adj_val = pattern.entries, (), ()
     n, m = len(word), len(pat)
-    if m == 3:
+    if m > n:
+        return False
+    if m == 3 and not adj_pos and not adj_val:
         p01, p02, p12 = pat[0] < pat[1], pat[0] < pat[2], pat[1] < pat[2]
         for i in range(n - 2):
             wi = word[i]
@@ -423,7 +444,16 @@ def _word_contains(word: Sequence[int], pat: Sequence[int]) -> bool:
                         return True
         return False
     for combo in itertools.combinations(range(n), m):
-        if _order_iso([word[c] for c in combo], pat):
+        if adj_pos and any(combo[i] != combo[i - 1] + 1 for i in adj_pos):
+            continue
+        sub = [word[c] for c in combo]
+        if not _order_iso(sub, pat):
+            continue
+        for v in adj_val:
+            lo, hi = sub[pat.index(v)], sub[pat.index(v + 1)]
+            if any(lo < w < hi for w in word):
+                break
+        else:
             return True
     return False
 
@@ -436,34 +466,7 @@ def contains_classical(x: Permutation, pattern: Permutation) -> bool:
     >>> contains_classical(parse_permutation("3 4 1 2"), Permutation.from_digits("231"))
     True
     """
-    return _word_contains(x.entries, pattern.entries)
-
-
-def _word_contains_bivincular(word: Sequence[int], p: BivincularPattern) -> bool:
-    base = p.base.entries
-    m, n = len(base), len(word)
-    if m > n:
-        return False
-    # occurrence position of each pattern value 1..m
-    slot_of_value = {v: i for i, v in enumerate(base)}
-    adj_pos = p.adjacent_positions
-    adj_val = p.adjacent_values
-    for combo in itertools.combinations(range(n), m):
-        if any(combo[i] != combo[i - 1] + 1 for i in adj_pos):
-            continue
-        sub = tuple(word[c] for c in combo)
-        if not _order_iso(sub, base):
-            continue
-        ok = True
-        for v in adj_val:
-            lo = sub[slot_of_value[v]]
-            hi = sub[slot_of_value[v + 1]]
-            if any(lo < w < hi for w in word):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return _word_contains(x.entries, pattern)
 
 
 def contains_bivincular(x: Permutation, pattern: BivincularPattern) -> bool:
@@ -476,7 +479,7 @@ def contains_bivincular(x: Permutation, pattern: BivincularPattern) -> bool:
     >>> contains_bivincular(parse_permutation("2 4 1 3"), STAR_132)
     False
     """
-    return _word_contains_bivincular(x.entries, pattern)
+    return _word_contains(x.entries, pattern)
 
 
 @lru_cache(maxsize=None)
@@ -553,7 +556,7 @@ def avoiders(
     def rec() -> Iterator[Permutation]:
         if len(prefix) == n:
             x = Permutation(tuple(prefix))
-            if all(not _word_contains_bivincular(x.entries, b) for b in bivincular):
+            if all(not _word_contains(x.entries, b) for b in bivincular):
                 yield x
             return
         for v in range(1, n + 1):

@@ -78,7 +78,7 @@ def active_sites(x: Permutation, y: Permutation) -> frozenset[int]:
     return frozenset(
         site
         for site in range(1, top + 1)
-        if not _word_contains(word[: site - 1] + (top,) + word[site - 1 :], y.entries)
+        if not _word_contains(word[: site - 1] + (top,) + word[site - 1 :], y)
     )
 
 

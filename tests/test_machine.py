@@ -12,6 +12,7 @@ import stacksort
 from stacksort.machine import (
     DegeneratePair,
     EmptyPatternSet,
+    InvalidTrace,
     StackTrace,
     _compile,
     _sortable_word,
@@ -181,6 +182,15 @@ def test_validate_trace_rejects_tampering():
     broken = StackTrace(trace.machine, trace.input, tuple(steps[::-1]), trace.output)
     with pytest.raises(AssertionError):
         validate_trace(broken)
+
+
+def test_validate_trace_checks_the_stack_against_star_patterns():
+    # the 123 pass of 2 3 1 stacks 1 3 2, which contains 132-star
+    _, trace = pattern_stack_pass(P("231"), PatternSet.of(P("123")), want_trace=True)
+    relabelled = trace._replace(machine=PatternSet.of(P("123"), STAR_132))
+    with pytest.raises(InvalidTrace) as exc:
+        validate_trace(relabelled)
+    assert str(exc.value) == "stack holds a forbidden pattern"
 
 
 def test_validate_trace_rejects_tampering_under_python_O():

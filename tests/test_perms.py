@@ -169,10 +169,20 @@ def test_star_examples():
     assert not contains_bivincular(parse_permutation("1 3 2 4"), STAR_123)
 
 
-def test_unconstrained_bivincular_degenerates_to_classical():
-    plain = BivincularPattern(Permutation((1, 3, 2)), frozenset(), frozenset())
-    for x in all_perms(5):
-        assert contains_bivincular(x, plain) == oracles.contains(x.entries, (1, 3, 2))
+@pytest.mark.parametrize("digits", ["123", "132", "213", "231", "312", "321", "2134"])
+def test_unconstrained_bivincular_degenerates_to_classical(digits):
+    # length 3 takes the triple loop, length 4 the generic search
+    base = Permutation.from_digits(digits)
+    plain = BivincularPattern(base, frozenset(), frozenset())
+    for n in range(6):
+        for x in all_perms(n):
+            assert contains_bivincular(x, plain) == oracles.contains(x.entries, base.entries), x
+
+
+def test_bivincular_pattern_refuses_a_base_that_is_not_a_permutation():
+    with pytest.raises(TypeError) as exc:
+        BivincularPattern((1, 3, 2), {2}, {2})
+    assert str(exc.value) == "not a permutation: (1, 3, 2)"
 
 
 def test_avoiders_counts_catalan():
@@ -225,6 +235,16 @@ def test_avoiders_refuses_past_the_generation_cap_before_yielding():
         avoiders(13, [Permutation.from_digits("123")])
     assert str(exc.value) == "n=13 above the generation cap 12"
     assert sum(1 for _ in avoiders(12, [Permutation.from_digits("12")])) == 1
+
+
+@pytest.mark.parametrize(
+    "n, pattern", [(1, (1,)), (0, ()), (2, ())], ids=["1-in-S1", "empty-in-S0", "empty-in-S2"]
+)
+def test_avoiders_refuses_patterns_shorter_than_two_before_yielding(n, pattern):
+    # the length rule is PatternSet's, so avoiders refuses what the stack refuses
+    with pytest.raises(ValueError) as exc:
+        avoiders(n, [Permutation(pattern)])
+    assert str(exc.value) == "forbidden patterns must have length >= 2"
 
 
 def test_pattern_set_deduplicates():
