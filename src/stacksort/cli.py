@@ -29,8 +29,8 @@ Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors and refused inputs, 3 on any other exception, which is
 a bug in the package and is reported as one "internal error:" line on
 stderr.  Every refusal is a ``ValueError``, raised by the layer that owns
-its rule; this module refuses only what no layer holds, such as an empty
-``--cache-dir``.  The package's other exceptions, such as
+its rule; this module refuses only what no layer holds, such as a --perm
+of more than 100 entries.  The package's other exceptions, such as
 ``signatures.NoMatch`` from ``west_map`` and
 ``sequences.NonIntegerCoefficient``, signal bugs and exit 3.
 """
@@ -167,9 +167,6 @@ def _cmd_trace(args: argparse.Namespace) -> Answer:
 def _cmd_enumerate(args: argparse.Namespace) -> Answer:
     sigma = parse_pattern(args.sigma)
     tau = None if args.tau is None else parse_pattern(args.tau)
-    if args.cache_dir == "":
-        raise ValueError("--cache-dir must name a directory, got an empty string")
-    cache_dir = None if args.cache_dir is None else Path(args.cache_dir)
     _load("harness")
     # A cache entry that cannot be trusted or stored warns; it prints as one
     # line that names no source file, before the note on how it was answered,
@@ -177,7 +174,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> Answer:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result, from_cache = enumerate_cached(
-            args.n, sigma, tau, workers=args.workers, cache_dir=cache_dir
+            args.n, sigma, tau, workers=args.workers, cache_dir=args.cache_dir
         )
     for warning in caught:
         _note(f"warning: {warning.message}")

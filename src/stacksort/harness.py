@@ -1,9 +1,8 @@
 """The enumeration engine, its result cache, and verification reports.
 
 ``enumerate_sortable`` scans S_n for the permutations one machine sorts.
-Every scan enters through ``_enumerate``, which checks the machine and
-compiles its push test once, before it checks n and the worker count: it
-takes classical patterns only, and a pair must be two distinct ones.  Each
+Every scan enters through ``_enumerate``: it compiles the machine's push
+test once, then checks the request with ``_require_request``.  Each
 block carries the compiled test, so neither a block nor a pool worker
 compiles anything.  Scans partition S_n by first entry into n blocks;
 S_0's empty word is one block of its own, so a scan runs max(n, 1)
@@ -12,10 +11,11 @@ merged in first-entry order and the merge is plain summation, so results
 do not depend on how many workers processed them; reports and results
 serialize to the same bytes whatever the worker count.
 ``enumerate_cached`` answers from a checksummed file per (machine, n)
-when it can and scans otherwise; it checks the patterns and the worker
-count before it reads the cache, so a hit refuses them as a scan does.
-With no home directory for the default cache, it warns and scans uncached.
-Lengths above ``perms.DEFAULT_GENERATION_CAP`` are refused before any scan.
+when it can and scans otherwise.  Before it reads the cache it refuses an
+empty directory and runs ``_require_request``: a hit refuses a star
+pattern, fewer than one worker and n outside 0..12 as a scan does.  It
+alone resolves the cache directory for ``cache_store`` and ``cache_load``;
+with no home directory for the default cache, it warns and scans uncached.
 
 ``_report`` builds every suite's report from the claims it declares and
 the failures it yields.  ``conjecture_tables`` compares the (132,213) and
@@ -167,10 +167,16 @@ def _require_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-def _require_classical(patterns: tuple) -> None:
+def _require_request(n: int, patterns: tuple, workers: int) -> None:
+    """The rules both doors into the engine share, checked in this order."""
     for p in patterns:
         if isinstance(p, BivincularPattern):
             raise ValueError(f"enumeration takes classical patterns, got {pattern_name(p)}")
+    _require_workers(workers)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > DEFAULT_GENERATION_CAP:
+        raise LengthTooLarge(f"n={n} above the enumeration cap {DEFAULT_GENERATION_CAP}")
 
 
 def _enumerate(
@@ -181,13 +187,8 @@ def _enumerate(
 ) -> EnumerationResult:
     from .machine import _compile, _compile_pair
 
-    _require_classical(patterns)
     compiled = _compile_pair(*patterns) if len(patterns) > 1 else _compile(PatternSet.of(*patterns))
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > DEFAULT_GENERATION_CAP:
-        raise LengthTooLarge(f"n={n} above the enumeration cap {DEFAULT_GENERATION_CAP}")
-    _require_workers(workers)
+    _require_request(n, patterns, workers)
     tokens = tuple(pattern_name(p) for p in patterns)
     # one block per first entry; S_0's one block is the empty prefix
     prefixes = itertools.permutations(range(1, n + 1), min(n, 1))
@@ -486,9 +487,9 @@ def _canonical(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def cache_store(result: EnumerationResult, cache_dir: Path | str | None = None) -> Path:
+def cache_store(result: EnumerationResult, cache_dir: Path | str) -> Path:
     """Write one result atomically; the file name is the key digest."""
-    directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
     payload = result.to_json_dict()
     document = {
@@ -518,7 +519,7 @@ def cache_store(result: EnumerationResult, cache_dir: Path | str | None = None) 
 
 
 def cache_load(
-    machine: Sequence[str], n: int, cache_dir: Path | str | None = None
+    machine: Sequence[str], n: int, cache_dir: Path | str
 ) -> EnumerationResult | None:
     """Reload a stored result; anything untrustworthy is a miss.
 
@@ -527,10 +528,7 @@ def cache_load(
     checksum, or holds the result for another machine or length, warns with
     CorruptCacheEntry and is then treated as a miss too.
     """
-    directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    target = directory / f"{_cache_key(machine, n)}.json"
-    if not target.exists():
-        return None
+    target = Path(cache_dir) / f"{_cache_key(machine, n)}.json"
     try:
         document = json.loads(target.read_text())
         if not isinstance(document, dict):
@@ -545,6 +543,8 @@ def cache_load(
         if list(result.machine) != list(machine) or result.n != n:
             raise ValueError(f"entry holds machine {list(result.machine)}, n={result.n}")
         return result
+    except (FileNotFoundError, NotADirectoryError):  # no entry: an ordinary miss
+        return None
     except Exception as error:  # whatever breaks the reading, the entry is at fault
         warnings.warn(
             f"discarding unreadable cache entry {target.name}: {error}",
@@ -561,14 +561,16 @@ def enumerate_cached(
     workers: int = 1,
     cache_dir: Path | str | None = None,
 ) -> tuple[EnumerationResult, bool]:
-    """Cache-aware enumeration; the flag reports whether the cache answered."""
+    """Cache-aware enumeration in ``cache_dir``, ``default_cache_dir`` if None;
+    the flag reports whether the cache answered.  An empty ``cache_dir`` and
+    what ``_require_request`` refuses are refused before the cache is read."""
+    if cache_dir == "":
+        raise ValueError("--cache-dir must name a directory, got an empty string")
     patterns = (sigma,) if tau is None else (sigma, tau)
     tokens = tuple(pattern_name(p) for p in patterns)
-    # checked before the cache is read, so a hit refuses them as a scan does
-    _require_classical(patterns)
-    _require_workers(workers)
+    _require_request(n, patterns, workers)
     try:
-        directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+        directory = default_cache_dir() if cache_dir is None else cache_dir
     except RuntimeError as error:  # no home directory to hold ~/.cache
         warnings.warn(
             f"no cache directory ({error}); name one with --cache-dir or {CACHE_ENV_VAR}",

@@ -379,6 +379,32 @@ def test_enumerate_refuses_past_the_enumeration_cap(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_enumerate_refuses_past_the_cap_an_entry_it_holds(capsys, tmp_path):
+    # a checksum-valid entry used to answer with exit 0
+    harness.cache_store(harness.EnumerationResult(("132", "321"), 13, 1, None), tmp_path)
+    assert invoke(
+        capsys,
+        "enumerate", "--sigma", "132", "--tau", "321", "--n", "13",
+        "--cache-dir", str(tmp_path),
+    ) == (2, "", "error: n=13 above the enumeration cap 12\n")
+
+
+def test_enumerate_rescans_when_the_cache_dir_is_unreachable(capsys, tmp_path):
+    # Path.exists raised ENAMETOOLONG on the cache entry, which exited 3
+    unreachable = tmp_path / ("a" * 300)
+    code, out, err = invoke(
+        capsys,
+        "enumerate", "--sigma", "132", "--tau", "321", "--n", "3",
+        "--cache-dir", str(unreachable),
+    )
+    assert (code, out) == (0, "machine 132+321, n=3: 4 sortable permutations\n")
+    unread, unstored, note = err.splitlines()
+    entry = f"{harness._cache_key(('132', '321'), 3)}.json"
+    assert unread.startswith(f"warning: discarding unreadable cache entry {entry}: ")
+    assert unstored.startswith("warning: could not store the result in the cache: ")
+    assert note == "scanned in 3 blocks"
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--sigma", "132", "--n", "3", "--cache-dir", "cache"],
     ["verify", "--suite", "west", "--n-max", "2"],

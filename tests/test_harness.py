@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import warnings
 from itertools import combinations, permutations
 
 import pytest
@@ -26,7 +27,7 @@ from stacksort.harness import (
     run_suites,
 )
 from stacksort.machine import DegeneratePair
-from stacksort.perms import STAR_132, PatternSet, Permutation
+from stacksort.perms import STAR_132, LengthTooLarge, PatternSet, Permutation
 from stacksort.sequences import SequenceTable
 from stacksort.suites import SUITES, find_alignment, verify_characterization, verify_west
 
@@ -138,6 +139,29 @@ def test_enumerate_cached_refuses_a_star_machine_it_holds(tmp_path):
     cache_store(EnumerationResult(("132-star", "321"), 5, 19, None), tmp_path)
     with pytest.raises(ValueError, match="^enumeration takes classical patterns, got 132-star$"):
         enumerate_cached(5, STAR_132, P("321"), cache_dir=tmp_path)
+
+
+@pytest.mark.parametrize("n,error,message", [
+    (13, LengthTooLarge, "n=13 above the enumeration cap 12"),
+    (-1, ValueError, "n must be nonnegative"),
+])
+def test_enumerate_cached_refuses_a_length_it_holds(tmp_path, n, error, message):
+    # a checksum-valid entry used to answer n = 13, and n = -1 warned that
+    # the entry was corrupt before the scan refused it
+    cache_store(EnumerationResult(("132", "321"), n, 1, None), tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error, match=f"^{message}$"):
+            enumerate_cached(n, P("132"), P("321"), cache_dir=tmp_path)
+    assert caught == []
+
+
+def test_enumerate_cached_refuses_an_empty_cache_dir(monkeypatch, tmp_path):
+    # "" used to mean the working directory, where the entry was written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="^--cache-dir must name a directory, got an empty string$"):
+        enumerate_cached(3, P("132"), P("321"), cache_dir="")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_worker_partitions_counts_the_blocks_of_a_scan(tmp_path):
@@ -323,6 +347,21 @@ def test_cache_round_trip(tmp_path):
     assert loaded == result
     # the checksummed result names its machine and length; nothing repeats them
     assert set(json.loads(entry.read_text())) == {"version", "checksum", "result"}
+
+
+def test_cache_round_trip_through_a_string_directory(tmp_path):
+    # the benchmark's layer runner names its cache directories as strings
+    result = enumerate_sortable(4, P("132"), P("321"))
+    entry = cache_store(result, str(tmp_path))
+    assert entry.parent == tmp_path
+    assert cache_load(("132", "321"), 4, str(tmp_path)) == result
+
+
+def test_cache_load_misses_an_unreachable_directory(tmp_path):
+    # Path.exists raised ENAMETOOLONG, which enumerate reported as exit 3
+    with pytest.warns(CorruptCacheEntry) as caught:
+        assert cache_load(("132", "321"), 3, tmp_path / ("a" * 300)) is None
+    assert len(caught) == 1
 
 
 def test_cache_round_trips_the_empty_witness(tmp_path):
