@@ -30,11 +30,11 @@ _EXPORTS = {
     "perms": (
         "BivincularPattern", "PatternSet", "Permutation", "STAR_123", "STAR_132",
         "avoiders", "contains_bivincular", "contains_classical",
-        "format_permutation", "parse_permutation",
+        "format_permutation", "machine_patterns", "parse_permutation",
     ),
     "machine": (
-        "StackStep", "StackTrace", "is_sortable", "machine", "machine_patterns",
-        "pattern_stack_pass", "validate_trace", "west_pass",
+        "StackStep", "StackTrace", "is_sortable", "machine", "pattern_stack_pass",
+        "validate_trace", "west_pass",
     ),
     "signatures": ("active_sites", "format_signature", "has_plateau", "signature", "west_map"),
     "dyck": (

@@ -53,6 +53,7 @@ from .perms import (
     Permutation,
     contains_classical,
     format_permutation,
+    machine_patterns,
     parse_pattern,
     parse_permutation,
     pattern_name,

@@ -1,20 +1,21 @@
 """The enumeration engine, its result cache, and verification reports.
 
 ``enumerate_sortable`` scans S_n for the permutations one machine sorts.
-Every scan enters through ``_enumerate``: it compiles the machine's push
-test once, then checks the request with ``_require_request``.  Each
-block carries the compiled test, so neither a block nor a pool worker
-compiles anything.  Scans partition S_n by first entry into n blocks;
-S_0's empty word is one block of its own, so a scan runs max(n, 1)
-blocks, the number a result reports as ``worker_partitions``.  Blocks are
-merged in first-entry order and the merge is plain summation, so results
-do not depend on how many workers processed them; reports and results
-serialize to the same bytes whatever the worker count.
+Every scan enters through ``_enumerate``: it compiles once the forbidden
+set ``_require_request`` checks and returns.  Each block carries the
+compiled test, so neither a block nor a pool worker compiles anything.
+Scans partition S_n by first entry into n blocks; S_0's empty word is one
+block of its own, so a scan runs max(n, 1) blocks, the number a result
+reports as ``worker_partitions``.  Blocks are merged in first-entry order
+and the merge is plain summation, so results do not depend on how many
+workers processed them; reports and results serialize to the same bytes
+whatever the worker count.
 ``enumerate_cached`` answers from a checksummed file per (machine, n)
 when it can and scans otherwise.  Before it reads the cache it refuses an
-empty directory and runs ``_require_request``: a hit refuses a star
-pattern, fewer than one worker and n outside 0..12 as a scan does.  It
-alone resolves the cache directory for ``cache_store`` and ``cache_load``;
+empty directory and runs ``_require_request``, so a hit refuses every
+machine, worker count and length a scan refuses, in the same order.  A
+hit must also hold witnesses exactly where a scan keeps them.  It alone
+resolves the cache directory for ``cache_store`` and ``cache_load``;
 with no home directory for the default cache, it warns and scans uncached.
 
 ``_report`` builds every suite's report from the claims it declares and
@@ -45,7 +46,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .perms import (
-    BivincularPattern,
     DEFAULT_GENERATION_CAP,
     LengthTooLarge,
     PATTERN_132,
@@ -57,6 +57,7 @@ from .perms import (
     _Frozen,
     format_permutation,
     index_of,
+    machine_patterns,
     parse_permutation,
     pattern_name,
 )
@@ -167,16 +168,19 @@ def _require_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-def _require_request(n: int, patterns: tuple, workers: int) -> None:
-    """The rules both doors into the engine share, checked in this order."""
-    for p in patterns:
-        if isinstance(p, BivincularPattern):
-            raise ValueError(f"enumeration takes classical patterns, got {pattern_name(p)}")
+def _require_request(n: int, patterns: tuple, workers: int) -> PatternSet:
+    """The rules both doors into the engine share, checked in this order;
+    returns the first stack's forbidden set, which ``perms`` checked first."""
+    forbidden = machine_patterns(*patterns)
+    if forbidden.bivincular:
+        star = pattern_name(forbidden.bivincular[0])
+        raise ValueError(f"enumeration takes classical patterns, got {star}")
     _require_workers(workers)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > DEFAULT_GENERATION_CAP:
         raise LengthTooLarge(f"n={n} above the enumeration cap {DEFAULT_GENERATION_CAP}")
+    return forbidden
 
 
 def _enumerate(
@@ -185,10 +189,9 @@ def _enumerate(
     keep: bool,
     workers: int,
 ) -> EnumerationResult:
-    from .machine import _compile, _compile_pair
+    from .machine import _compile
 
-    compiled = _compile_pair(*patterns) if len(patterns) > 1 else _compile(PatternSet.of(*patterns))
-    _require_request(n, patterns, workers)
+    compiled = _compile(_require_request(n, patterns, workers))
     tokens = tuple(pattern_name(p) for p in patterns)
     # one block per first entry; S_0's one block is the empty prefix
     prefixes = itertools.permutations(range(1, n + 1), min(n, 1))
@@ -474,7 +477,7 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
+    base = Path(xdg) if xdg and Path(xdg).is_absolute() else Path.home() / ".cache"
     return base / "stacksort"
 
 
@@ -525,7 +528,8 @@ def cache_load(
 
     A missing file or a version from another engine generation is an
     ordinary miss.  An entry that cannot be read, fails parsing or its
-    checksum, or holds the result for another machine or length, warns with
+    checksum, holds the result for another machine or length, or holds
+    witnesses where a scan keeps none or the reverse, warns with
     CorruptCacheEntry and is then treated as a miss too.
     """
     target = Path(cache_dir) / f"{_cache_key(machine, n)}.json"
@@ -542,6 +546,11 @@ def cache_load(
         result = EnumerationResult.from_json_dict(payload)
         if list(result.machine) != list(machine) or result.n != n:
             raise ValueError(f"entry holds machine {list(result.machine)}, n={result.n}")
+        if (result.witnesses is None) != (n > WITNESS_DEFAULT_MAX):
+            held = "no witnesses" if result.witnesses is None else "witnesses"
+            raise ValueError(
+                f"entry for n={n} holds {held}; a scan keeps them up to n={WITNESS_DEFAULT_MAX}"
+            )
         return result
     except (FileNotFoundError, NotADirectoryError):  # no entry: an ordinary miss
         return None
@@ -562,8 +571,9 @@ def enumerate_cached(
     cache_dir: Path | str | None = None,
 ) -> tuple[EnumerationResult, bool]:
     """Cache-aware enumeration in ``cache_dir``, ``default_cache_dir`` if None;
-    the flag reports whether the cache answered.  An empty ``cache_dir`` and
-    what ``_require_request`` refuses are refused before the cache is read."""
+    the flag reports whether the cache answered.  An empty ``cache_dir``, then
+    what ``_require_request`` refuses, is refused before the cache is read, so
+    a hit refuses every request a scan refuses."""
     if cache_dir == "":
         raise ValueError("--cache-dir must name a directory, got an empty string")
     patterns = (sigma,) if tau is None else (sigma, tau)

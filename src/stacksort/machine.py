@@ -29,22 +29,18 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .perms import (
     PATTERN_21,
-    BivincularPattern,
     PatternSet,
     Permutation,
     _compile_classical,
     _ends_at,
     _word_contains,
+    machine_patterns,
     pattern_name,
 )
 
 
 class EmptyPatternSet(ValueError):
     """A stack pass needs at least one forbidden pattern."""
-
-
-class DegeneratePair(ValueError):
-    """The two-stack machine needs two distinct patterns."""
 
 
 class InvalidTrace(AssertionError):
@@ -190,15 +186,6 @@ def _sortable_word(word: Iterable[int], compiled) -> bool:
             expected += 1
         held.append(v)
     return held[::-1] == list(range(expected, expected + len(held)))
-
-
-def machine_patterns(
-    sigma: Permutation | BivincularPattern, tau: Permutation | BivincularPattern
-) -> PatternSet:
-    """The first stack's forbidden set; the machine needs two distinct patterns."""
-    if sigma == tau:
-        raise DegeneratePair(f"need two distinct patterns, got {pattern_name(sigma)} twice")
-    return PatternSet.of(sigma, tau)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,8 @@ permutation and pattern text, the inverses of ``str`` and ``pattern_name``.
 ``_word_contains`` is the one containment search, classical or bivincular, and
 ``_ends_at`` the one new-entry test: ``avoiders`` runs it on each prefix it
 extends, and the stack machine on its stack with the patterns reversed.
-``PatternSet`` owns the rule that every forbidden pattern has length >= 2.
+This module owns every rule on a machine's patterns: ``PatternSet`` the
+length >= 2 of each forbidden pattern, ``machine_patterns`` two distinct ones.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ class SiteOutOfRange(ValueError):
 
 class LengthTooLarge(ValueError):
     """Refusing to run an exhaustive scan past the configured length cap."""
+
+
+class DegeneratePair(ValueError):
+    """The two-stack machine needs two distinct patterns."""
 
 
 class _Frozen:
@@ -394,6 +399,15 @@ def pattern_name(p: Permutation | BivincularPattern) -> str:
         val = ",".join(str(v) for v in sorted(p.adjacent_values))
         return f"{base}|pos:{pos}|val:{val}"
     return "".join(str(v) for v in p.entries)
+
+
+def machine_patterns(
+    sigma: Permutation | BivincularPattern, tau: Permutation | BivincularPattern | None = None
+) -> PatternSet:
+    """The first stack's forbidden set: sigma alone, or two distinct patterns."""
+    if sigma == tau:
+        raise DegeneratePair(f"need two distinct patterns, got {pattern_name(sigma)} twice")
+    return PatternSet.of(sigma) if tau is None else PatternSet.of(sigma, tau)
 
 
 def parse_pattern(token: str) -> Permutation | BivincularPattern:

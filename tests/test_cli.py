@@ -389,6 +389,66 @@ def test_enumerate_refuses_past_the_cap_an_entry_it_holds(capsys, tmp_path):
     ) == (2, "", "error: n=13 above the enumeration cap 12\n")
 
 
+@pytest.mark.parametrize("tokens,message", [
+    (("132", "132"), "need two distinct patterns, got 132 twice"),
+    (("1", "321"), "forbidden patterns must have length >= 2"),
+    (("1",), "forbidden patterns must have length >= 2"),
+], ids=["repeated", "short-pair", "short-single"])
+def test_enumerate_refuses_a_machine_it_holds_as_it_refuses_a_miss(
+    capsys, tmp_path, tokens, message
+):
+    # a checksum-valid entry used to answer with "cache hit" and exit 0
+    argv = ["enumerate", "--sigma", tokens[0], "--n", "3"]
+    if len(tokens) > 1:
+        argv += ["--tau", tokens[1]]
+    miss = invoke(capsys, *argv, "--cache-dir", str(tmp_path / "empty"))
+    assert miss == (2, "", f"error: {message}\n")
+    harness.cache_store(
+        harness.EnumerationResult(tokens, 3, 1, (Permutation((1, 2, 3)),)), tmp_path / "filled"
+    )
+    assert invoke(capsys, *argv, "--cache-dir", str(tmp_path / "filled")) == miss
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--sigma", "132", "--tau", "132", "--n", "13"), "need two distinct patterns, got 132 twice"),
+    (
+        ("--sigma", "132-star", "--tau", "132-star"),
+        "need two distinct patterns, got 132-star twice",
+    ),
+    (("--sigma", "1", "--tau", "132-star"), "forbidden patterns must have length >= 2"),
+    (("--sigma", "1", "--n", "13"), "forbidden patterns must have length >= 2"),
+], ids=["repeated-long", "repeated-star", "short-star", "short-long"])
+def test_enumerate_names_the_machine_rule_before_the_others(capsys, tmp_path, argv, message):
+    # each input has two faults; the one in the machine's patterns is named
+    argv = ("enumerate", "--n", "3", *argv, "--cache-dir", str(tmp_path))
+    assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("n,stored,held,count,witnesses", [
+    (3, None, "no witnesses", 5, ["1 2 3", "1 3 2", "2 3 1", "3 1 2", "3 2 1"]),
+    (9, (Permutation(tuple(range(1, 10))),), "witnesses", 4862, None),
+], ids=["none-at-3", "some-at-9"])
+def test_enumerate_rescans_an_entry_with_the_wrong_witness_shape(
+    capsys, tmp_path, n, stored, held, count, witnesses
+):
+    # a scan keeps witnesses exactly up to n = 8; a hit printed what it held
+    entry = harness.cache_store(
+        harness.EnumerationResult(("12",), n, len(stored or ()), stored), tmp_path
+    )
+    code, out, err = invoke(
+        capsys,
+        "enumerate", "--sigma", "12", "--n", str(n),
+        "--cache-dir", str(tmp_path), "--format", "json",
+    )
+    assert code == 0
+    assert (json.loads(out)["count"], json.loads(out)["witnesses"]) == (count, witnesses)
+    assert err == (
+        f"warning: discarding unreadable cache entry {entry.name}:"
+        f" entry for n={n} holds {held}; a scan keeps them up to n=8\n"
+        f"scanned in {n} blocks\n"
+    )
+
+
 def test_enumerate_rescans_when_the_cache_dir_is_unreachable(capsys, tmp_path):
     # Path.exists raised ENAMETOOLONG on the cache entry, which exited 3
     unreachable = tmp_path / ("a" * 300)

@@ -26,8 +26,15 @@ from stacksort.harness import (
     enumerate_sortable,
     run_suites,
 )
-from stacksort.machine import DegeneratePair
-from stacksort.perms import STAR_132, LengthTooLarge, PatternSet, Permutation
+from stacksort.perms import (
+    STAR_132,
+    DegeneratePair,
+    LengthTooLarge,
+    PatternSet,
+    Permutation,
+    identity,
+    parse_pattern,
+)
 from stacksort.sequences import SequenceTable
 from stacksort.suites import SUITES, find_alignment, verify_characterization, verify_west
 
@@ -94,7 +101,7 @@ def test_length_zero_runs_the_block_loop_on_the_empty_prefix(monkeypatch):
 
 
 @pytest.mark.parametrize("patterns,compiler,count", [
-    ((P("132"), P("321")), "_compile_pair", 26),
+    ((P("132"), P("321")), "_compile", 26),
     ((P("132"),), "_compile", 51),
 ], ids=["pair", "single"])
 def test_enumerate_compiles_the_machine_once(monkeypatch, patterns, compiler, count):
@@ -118,9 +125,13 @@ def test_enumerate_compiles_the_machine_once(monkeypatch, patterns, compiler, co
 
 
 @pytest.mark.parametrize("n,workers", [(4, 1), (-1, 1), (13, 1), (4, 0)])
-def test_enumerate_refuses_a_degenerate_pair_before_anything_else(n, workers):
-    with pytest.raises(DegeneratePair, match="need two distinct patterns, got 132 twice"):
-        _enumerate(n, (P("132"), P("132")), True, workers)
+def test_enumerate_refuses_a_degenerate_pair_before_anything_else(tmp_path, n, workers):
+    for door in (
+        lambda: _enumerate(n, (P("132"), P("132")), True, workers),
+        lambda: enumerate_cached(n, P("132"), P("132"), workers=workers, cache_dir=tmp_path),
+    ):
+        with pytest.raises(DegeneratePair, match="need two distinct patterns, got 132 twice"):
+            door()
 
 
 @pytest.mark.parametrize("scan", [
@@ -154,6 +165,30 @@ def test_enumerate_cached_refuses_a_length_it_holds(tmp_path, n, error, message)
         with pytest.raises(error, match=f"^{message}$"):
             enumerate_cached(n, P("132"), P("321"), cache_dir=tmp_path)
     assert caught == []
+
+
+@pytest.mark.parametrize("tokens,error,message", [
+    (("132", "132"), DegeneratePair, "need two distinct patterns, got 132 twice"),
+    (("1", "321"), ValueError, "forbidden patterns must have length >= 2"),
+    (("1",), ValueError, "forbidden patterns must have length >= 2"),
+], ids=["repeated", "short-pair", "short-single"])
+def test_enumerate_cached_refuses_a_machine_it_holds(tmp_path, tokens, error, message):
+    # a checksum-valid entry used to answer a machine every scan refuses
+    cache_store(EnumerationResult(tokens, 3, 1, (P("123"),)), tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error, match=f"^{message}$"):
+            enumerate_cached(3, *map(parse_pattern, tokens), cache_dir=tmp_path)
+    assert caught == []
+
+
+@pytest.mark.parametrize("door", [
+    lambda tmp_path: _enumerate(3, (STAR_132, STAR_132), True, 1),
+    lambda tmp_path: enumerate_cached(3, STAR_132, STAR_132, cache_dir=tmp_path),
+], ids=["engine", "cached"])
+def test_both_doors_name_a_repeated_star_pattern_before_its_kind(tmp_path, door):
+    with pytest.raises(DegeneratePair, match="^need two distinct patterns, got 132-star twice$"):
+        door(tmp_path)
 
 
 def test_enumerate_cached_refuses_an_empty_cache_dir(monkeypatch, tmp_path):
@@ -445,6 +480,23 @@ def test_cache_rejects_fields_of_the_wrong_type(tmp_path, field, value):
         assert cache_load(result.machine, result.n, tmp_path) is None
 
 
+@pytest.mark.parametrize("stored,held", [
+    (EnumerationResult(("132", "321"), 3, 4, None), "no witnesses"),
+    (EnumerationResult(("132", "321"), 9, 1, (identity(9),)), "witnesses"),
+], ids=["none-at-3", "some-at-9"])
+def test_cache_refuses_witnesses_where_a_scan_keeps_none_or_the_reverse(tmp_path, stored, held):
+    # a scan keeps witnesses exactly up to n = 8, so a hit must too
+    entry = cache_store(stored, tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cache_load(stored.machine, stored.n, tmp_path) is None
+    assert [(w.category, str(w.message)) for w in caught] == [(
+        CorruptCacheEntry,
+        f"discarding unreadable cache entry {entry.name}:"
+        f" entry for n={stored.n} holds {held}; a scan keeps them up to n=8",
+    )]
+
+
 def test_cache_version_mismatch_is_silent_miss(tmp_path):
     result = enumerate_sortable(4, P("132"), P("321"))
     cache_store(result, tmp_path)
@@ -470,3 +522,7 @@ def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
     monkeypatch.setenv(CACHE_ENV_VAR, "")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     assert default_cache_dir() == tmp_path / "xdg" / "stacksort"
+    # the XDG Base Directory spec calls a relative path invalid: it is ignored
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert default_cache_dir() == tmp_path / "home" / ".cache" / "stacksort"

@@ -10,7 +10,6 @@ import pytest
 import oracles
 import stacksort
 from stacksort.machine import (
-    DegeneratePair,
     EmptyPatternSet,
     InvalidTrace,
     StackTrace,
@@ -26,6 +25,7 @@ from stacksort.machine import (
 from stacksort.perms import (
     STAR_123,
     STAR_132,
+    DegeneratePair,
     PatternSet,
     Permutation,
     identity,
