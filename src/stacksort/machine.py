@@ -76,7 +76,7 @@ class StackTrace(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "machine": pattern_set_names(self.machine),
+            "machine": [pattern_name(p) for p in self.machine],
             "input": list(self.input.entries),
             "steps": [
                 {
@@ -90,10 +90,6 @@ class StackTrace(NamedTuple):
             ],
             "output": list(self.output.entries),
         }
-
-
-def pattern_set_names(patterns: PatternSet) -> list[str]:
-    return [pattern_name(p) for p in patterns]
 
 
 # ---- the pass itself ---------------------------------------------------

@@ -6,7 +6,7 @@ literature can be typed in verbatim and checked by eye.  Internal helpers that
 operate on raw ``tuple[int, ...]`` words use ordinary Python indexing.
 
 ``parse_permutation`` and ``parse_pattern`` are the package's one reader of
-permutation and pattern text, the inverses of ``str`` and ``pattern_name``.
+permutation and pattern text, the exact inverses of ``str`` and ``pattern_name``.
 
 ``_word_contains`` is the one containment search, classical or bivincular, and
 ``_ends_at`` the one new-entry test: ``avoiders`` runs it on each prefix it
@@ -339,6 +339,8 @@ PATTERN_321 = Permutation((3, 2, 1))
 
 STAR_123 = BivincularPattern(PATTERN_123, frozenset({2}), frozenset({2}))
 STAR_132 = BivincularPattern(PATTERN_132, frozenset({2}), frozenset({2}))
+#: The named bivincular patterns, which ``pattern_name`` and ``parse_pattern`` share.
+STARS = {"123-star": STAR_123, "132-star": STAR_132}
 
 
 class PatternSet(_Frozen):
@@ -386,19 +388,21 @@ class PatternSet(_Frozen):
 
 
 def pattern_name(p: Permutation | BivincularPattern) -> str:
-    """Short stable name for a pattern, used in labels and serialized output."""
+    """The token ``parse_pattern`` reads back as ``p``, its exact inverse: digits
+    up to 9 entries, comma-separated entries from 10, or a ``STARS`` name.
+    Other bivincular patterns have no name and raise ``ValueError``.
+
+    >>> pattern_name(Permutation((1, 3, 2)))
+    '132'
+    >>> pattern_name(Permutation((10, 9, 8, 7, 6, 5, 4, 3, 2, 1)))
+    '10,9,8,7,6,5,4,3,2,1'
+    """
     if isinstance(p, BivincularPattern):
-        base = "".join(str(v) for v in p.base.entries)
-        if (
-            len(p.base) == 3
-            and p.adjacent_positions == frozenset({2})
-            and p.adjacent_values == frozenset({2})
-        ):
-            return f"{base}-star"
-        pos = ",".join(str(i) for i in sorted(p.adjacent_positions))
-        val = ",".join(str(v) for v in sorted(p.adjacent_values))
-        return f"{base}|pos:{pos}|val:{val}"
-    return "".join(str(v) for v in p.entries)
+        for name, star in STARS.items():
+            if p == star:
+                return name
+        raise ValueError(f"only {' and '.join(STARS)} have names, got {p!r}")
+    return ("" if len(p) < 10 else ",").join(map(str, p.entries))
 
 
 def machine_patterns(
@@ -411,9 +415,9 @@ def machine_patterns(
 
 
 def parse_pattern(token: str) -> Permutation | BivincularPattern:
-    """The pattern ``pattern_name`` names: a starred name or a permutation."""
-    stars = {pattern_name(p): p for p in (STAR_123, STAR_132)}
-    return stars[token] if token in stars else parse_permutation(token)
+    """The pattern ``token`` names, the exact inverse of ``pattern_name``: a
+    ``STARS`` name or a permutation."""
+    return STARS[token] if token in STARS else parse_permutation(token)
 
 
 # ---- containment -------------------------------------------------------

@@ -164,6 +164,25 @@ def test_enumerate_uses_cache_on_second_run(capsys, tmp_path):
     assert "cache hit" in err
 
 
+def test_enumerate_keeps_apart_machines_whose_digits_read_alike(capsys, tmp_path):
+    # both --tau patterns used to be named 1098765432111, so the second run
+    # printed "cache hit" and the first machine's label
+    runs = [
+        invoke(
+            capsys,
+            "enumerate", "--sigma", "123", "--tau", tau, "--n", "5", "--cache-dir", str(tmp_path),
+        )
+        for tau in ("10 9 8 7 6 5 4 3 2 1 11", "10 9 8 7 6 5 4 3 2 11 1")
+    ]
+    assert runs == [
+        (0, "machine 123+10,9,8,7,6,5,4,3,2,1,11, n=5: 35 sortable permutations\n",
+         "scanned in 5 blocks\n"),
+        (0, "machine 123+10,9,8,7,6,5,4,3,2,11,1, n=5: 35 sortable permutations\n",
+         "scanned in 5 blocks\n"),
+    ]
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
 def test_enumerate_rescans_an_entry_stored_under_another_key(capsys, tmp_path):
     invoke(
         capsys,

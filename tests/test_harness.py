@@ -28,11 +28,13 @@ from stacksort.harness import (
 )
 from stacksort.perms import (
     STAR_132,
+    BivincularPattern,
     DegeneratePair,
     LengthTooLarge,
     PatternSet,
     Permutation,
     identity,
+    machine_patterns,
     parse_pattern,
 )
 from stacksort.sequences import SequenceTable
@@ -143,6 +145,22 @@ def test_enumerate_refuses_a_degenerate_pair_before_anything_else(tmp_path, n, w
 def test_enumeration_refuses_star_patterns(scan):
     with pytest.raises(ValueError, match="^enumeration takes classical patterns, got 132-star$"):
         scan()
+
+
+@pytest.mark.parametrize("unnamed", [
+    BivincularPattern(P("213"), {2}, {2}),
+    BivincularPattern(P("132"), {2}),
+], ids=["star-constraints", "positions-only"])
+def test_enumeration_refuses_a_bivincular_pattern_that_has_no_name(tmp_path, unnamed):
+    message = "^only 123-star and 132-star have names, got BivincularPattern"
+    for door in (
+        lambda: enumerate_sortable(3, unnamed, P("321")),
+        lambda: enumerate_cached(3, unnamed, P("321"), cache_dir=tmp_path),
+        lambda: machine_patterns(unnamed, unnamed),
+    ):
+        with pytest.raises(ValueError, match=message):
+            door()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_enumerate_cached_refuses_a_star_machine_it_holds(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -25,6 +26,7 @@ from stacksort.machine import (
 from stacksort.perms import (
     STAR_123,
     STAR_132,
+    BivincularPattern,
     DegeneratePair,
     PatternSet,
     Permutation,
@@ -233,8 +235,32 @@ def test_trace_json_shape():
 def test_pattern_names():
     assert pattern_name(P("132")) == "132"
     assert pattern_name(STAR_132) == "132-star"
-    for p in (P("132"), P("2413"), STAR_123, STAR_132):
-        assert parse_pattern(pattern_name(p)) == p
+    # from 11 entries on, digits alone gave both of these 1112345678910
+    ones = Permutation((1, 11, 2, 3, 4, 5, 6, 7, 8, 9, 10))
+    elevens = Permutation((11, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
+    assert pattern_name(ones) == "1,11,2,3,4,5,6,7,8,9,10"
+    assert pattern_name(elevens) == "11,1,2,3,4,5,6,7,8,9,10"
+    rng = random.Random(2020)
+    longer = [tuple(rng.sample(range(1, k + 1), k)) for k in range(10, 15) for _ in range(200)]
+    patterns = {
+        *(p for n in range(8) for p in all_perms(n)),
+        STAR_123,
+        STAR_132,
+        ones,
+        elevens,
+        *map(Permutation, longer),
+    }
+    names = set()
+    for p in patterns:
+        name = pattern_name(p)
+        assert parse_pattern(name) == p, name
+        names.add(name)
+    assert len(names) == len(patterns)
+    # no other bivincular pattern has a name, not even one on a length-3
+    # base with the stars' constraints, nor one with position constraints alone
+    for p in (BivincularPattern(P("213"), {2}, {2}), BivincularPattern(P("132"), {2})):
+        with pytest.raises(ValueError, match="^only 123-star and 132-star have names, got "):
+            pattern_name(p)
 
 
 def test_deleting_the_last_entry_keeps_a_word_sortable():
