@@ -308,7 +308,7 @@ def _cmd_sequences(args: argparse.Namespace) -> Answer:
     _load("sequences")
     tables = _sequence_tables(args.n_max)
     lines = [
-        f"{t.name} (from n={t.offset}): {' '.join(str(v) for v in t.terms)}"
+        f"{t.name} (from n={t.offset}): {' '.join(str(v) for v in t.terms) or '-'}"
         for t in tables
     ]
     return Answer(

@@ -1,8 +1,9 @@
 """The enumeration engine, its result cache, and verification reports.
 
-``enumerate_sortable`` scans S_n for the permutations one machine sorts.
-Every scan enters through ``_enumerate``: it compiles once the forbidden
-set ``_require_request`` checks and returns.  Each block carries the
+``enumerate_sortable`` scans S_n for what the (sigma, tau) machine sorts,
+or the sigma machine when tau is None.  Every scan enters through
+``_enumerate``: it compiles once the forbidden set ``_require_request``
+checks and returns with the machine's names.  Each block carries the
 compiled test, so neither a block nor a pool worker compiles anything.
 Scans partition S_n by first entry into n blocks; S_0's empty word is one
 block of its own, so a scan runs max(n, 1) blocks, the number a result
@@ -66,8 +67,8 @@ PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
 
-#: Above this length, enumerate_sortable and enumerate_single_machine drop
-#: the witnesses and return the count alone.
+#: Above this length, ``enumerate_sortable`` drops the witnesses and returns
+#: the count alone.
 WITNESS_DEFAULT_MAX = 8
 
 ENGINE_VERSION = "1"
@@ -168,9 +169,10 @@ def _require_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-def _require_request(n: int, patterns: tuple, workers: int) -> PatternSet:
-    """The rules both doors into the engine share, checked in this order;
-    returns the first stack's forbidden set, which ``perms`` checked first."""
+def _require_request(n: int, patterns: tuple, workers: int) -> tuple[tuple, PatternSet]:
+    """The rules both doors into the engine share, checked in this order.
+    ``patterns`` is (sigma, tau), or (sigma,) or (sigma, None) for the sigma
+    machine; returns the machine's pattern names and its forbidden set."""
     forbidden = machine_patterns(*patterns)
     if forbidden.bivincular:
         star = pattern_name(forbidden.bivincular[0])
@@ -180,7 +182,7 @@ def _require_request(n: int, patterns: tuple, workers: int) -> PatternSet:
         raise ValueError("n must be nonnegative")
     if n > DEFAULT_GENERATION_CAP:
         raise LengthTooLarge(f"n={n} above the enumeration cap {DEFAULT_GENERATION_CAP}")
-    return forbidden
+    return tuple(map(pattern_name, forbidden)), forbidden
 
 
 def _enumerate(
@@ -191,8 +193,8 @@ def _enumerate(
 ) -> EnumerationResult:
     from .machine import _compile
 
-    compiled = _compile(_require_request(n, patterns, workers))
-    tokens = tuple(pattern_name(p) for p in patterns)
+    names, forbidden = _require_request(n, patterns, workers)
+    compiled = _compile(forbidden)
     # one block per first entry; S_0's one block is the empty prefix
     prefixes = itertools.permutations(range(1, n + 1), min(n, 1))
     blocks = [(n, prefix, compiled, keep) for prefix in prefixes]
@@ -210,16 +212,17 @@ def _enumerate(
     witnesses = (
         tuple(Permutation(w) for _, words in parts for w in words) if keep else None
     )
-    return EnumerationResult(tokens, n, count, witnesses)
+    return EnumerationResult(names, n, count, witnesses)
 
 
 def enumerate_sortable(
     n: int,
     sigma: Permutation,
-    tau: Permutation,
+    tau: Permutation | None = None,
     workers: int = 1,
 ) -> EnumerationResult:
-    """Scan S_n for the permutations the (sigma, tau) machine sorts."""
+    """Scan S_n for the permutations the (sigma, tau) machine sorts, or the
+    sigma machine when tau is None."""
     return _enumerate(n, (sigma, tau), n <= WITNESS_DEFAULT_MAX, workers)
 
 
@@ -228,8 +231,8 @@ def enumerate_single_machine(
     sigma: Permutation,
     workers: int = 1,
 ) -> EnumerationResult:
-    """Same scan with a one-pattern stack."""
-    return _enumerate(n, (sigma,), n <= WITNESS_DEFAULT_MAX, workers)
+    """``enumerate_sortable`` with tau None: the sigma machine."""
+    return enumerate_sortable(n, sigma, workers=workers)
 
 
 # ---- reports -------------------------------------------------------------
@@ -576,9 +579,7 @@ def enumerate_cached(
     a hit refuses every request a scan refuses."""
     if cache_dir == "":
         raise ValueError("--cache-dir must name a directory, got an empty string")
-    patterns = (sigma,) if tau is None else (sigma, tau)
-    tokens = tuple(pattern_name(p) for p in patterns)
-    _require_request(n, patterns, workers)
+    names, _ = _require_request(n, (sigma, tau), workers)
     try:
         directory = default_cache_dir() if cache_dir is None else cache_dir
     except RuntimeError as error:  # no home directory to hold ~/.cache
@@ -588,13 +589,11 @@ def enumerate_cached(
             stacklevel=2,
         )
         directory = None
-    hit = None if directory is None else cache_load(tokens, n, directory)
+    hit = None if directory is None else cache_load(names, n, directory)
     if hit is not None:
         return hit, True
-    if tau is None:
-        result = enumerate_single_machine(n, sigma, workers=workers)
-    else:
-        result = enumerate_sortable(n, sigma, tau, workers=workers)
+    # through the module name, which traced runs wrap to time the scan
+    result = enumerate_sortable(n, sigma, tau, workers=workers)
     if directory is not None:
         try:
             cache_store(result, directory)

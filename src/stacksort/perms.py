@@ -476,28 +476,21 @@ def _word_contains(word: Sequence[int], pattern: Permutation | BivincularPattern
     return False
 
 
-def contains_classical(x: Permutation, pattern: Permutation) -> bool:
-    """Does x contain the classical pattern, as an order-isomorphic subsequence?
+def contains_classical(x: Permutation, pattern: Permutation | BivincularPattern) -> bool:
+    """Does x contain the pattern as an order-isomorphic subsequence, one that
+    also meets the adjacency constraints of a bivincular pattern?  With no
+    constraints a bivincular pattern is its classical base.
 
-    >>> contains_classical(parse_permutation("4 2 1 3"), Permutation.from_digits("231"))
-    False
     >>> contains_classical(parse_permutation("3 4 1 2"), Permutation.from_digits("231"))
-    True
-    """
-    return _word_contains(x.entries, pattern)
-
-
-def contains_bivincular(x: Permutation, pattern: BivincularPattern) -> bool:
-    """Containment with the pattern's adjacency constraints enforced.
-
-    With no constraints this degenerates to classical containment.
-
-    >>> contains_bivincular(parse_permutation("1 3 2"), STAR_132)
     True
     >>> contains_bivincular(parse_permutation("2 4 1 3"), STAR_132)
     False
     """
     return _word_contains(x.entries, pattern)
+
+
+#: The same function, by the name that reads better for a bivincular pattern.
+contains_bivincular = contains_classical
 
 
 @lru_cache(maxsize=None)

@@ -620,7 +620,11 @@ def test_dyck_perm_golden(capsys):
     (("signature", "--perm", "-", "--sigma", "132"), "-\n"),
     (("west-map", "--perm", "-", "--sigma", "132", "--tau", "123"), "-\nshared signature: -\n"),
     (("dyck", "--perm", "-"), "b: -\npath: -\ndudu factor: no\n"),
-], ids=["signature", "west-map", "dyck"])
+    (("sequences", "--n-max", "0"),
+     "g (from n=0): 1\ncatalan (from n=0): 1\nschroder-large (from n=0): 1\n"
+     "catalan-binomial-transform (from n=0): 1\npowers-2-shifted (from n=1): -\n"
+     "sort-123-321 (from n=1): -\ng-series (from n=0): 1\n"),
+], ids=["signature", "west-map", "dyck", "sequences"])
 def test_empty_values_print_as_a_dash(capsys, argv, out):
     assert invoke(capsys, *argv) == (0, out, "")
 

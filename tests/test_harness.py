@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from stacksort import harness, suites
+from stacksort import cli, harness, suites
 from stacksort.harness import (
     CACHE_ENV_VAR,
     CorruptCacheEntry,
@@ -36,6 +36,7 @@ from stacksort.perms import (
     identity,
     machine_patterns,
     parse_pattern,
+    pattern_name,
 )
 from stacksort.sequences import SequenceTable
 from stacksort.suites import SUITES, find_alignment, verify_characterization, verify_west
@@ -49,6 +50,10 @@ def test_enumeration_counts():
     assert enumerate_sortable(0, P("132"), P("321")).count == 1
     assert enumerate_sortable(5, P("132"), P("321")).count == 26
     assert enumerate_single_machine(5, P("132")).count == 51
+    # tau=None is the sigma machine, the scan enumerate_single_machine names
+    for sigma in map(P, ("123", "132", "213", "231", "312", "321")):
+        for n in range(8):
+            assert enumerate_sortable(n, sigma) == enumerate_single_machine(n, sigma)
 
 
 def test_witness_policy():
@@ -140,8 +145,9 @@ def test_enumerate_refuses_a_degenerate_pair_before_anything_else(tmp_path, n, w
     lambda: enumerate_sortable(5, STAR_132, P("321")),
     lambda: enumerate_sortable(5, P("321"), STAR_132),
     lambda: enumerate_single_machine(5, STAR_132),
+    lambda: enumerate_sortable(5, STAR_132),
     lambda: _enumerate(5, (STAR_132,), False, 1),
-], ids=["sigma", "tau", "single", "engine"])
+], ids=["sigma", "tau", "single", "sigma-machine", "engine"])
 def test_enumeration_refuses_star_patterns(scan):
     with pytest.raises(ValueError, match="^enumeration takes classical patterns, got 132-star$"):
         scan()
@@ -354,6 +360,69 @@ def test_conjecture_agrees_at_three_but_not_four():
     assert not report4.passed
     failing = {c.claim_id for c in report4.claims if c.status == "fail"}
     assert failing == {"max-position-distributions-agree"}
+
+
+# ---- fault injection -------------------------------------------------------
+
+#: The row claims of the tables suite, by the machine and reference they align.
+ROW_CLAIMS = {
+    f"row-{'+'.join(map(pattern_name, patterns))}-matches-{reference}": patterns
+    for patterns, reference in suites.TABLE_ROWS
+}
+
+#: Per suite: the module whose ``_enumerate`` it calls, the one machine a
+#: fault is injected into (None for every machine), and the claims the fault
+#: must fail.  The conjecture suite compares two machines, so the same fault
+#: in both would cancel in totals-agree.
+INJECTIONS = {
+    "characterization": (suites, None, {
+        "sortable-set-equals-avoider-set", "sortable-counts-follow-recurrence"}),
+    "structure": (suites, None, {
+        "counts-match-closed-form", "appending-new-max-marks-sortable"}),
+    "tables": (suites, None, {*ROW_CLAIMS, "row-123+321-matches-closed-form"}),
+    "conjecture": (harness, (P("132"), P("213")), {
+        "totals-agree", "first-entry-distributions-agree"}),
+}
+
+#: Claims failed at --n-max 5 with no fault: the refutations
+#: test_acceptance.py pins.
+REFUTED_AT_FIVE = {
+    "tables": {"row-123+231-matches-A006318"},
+    "conjecture": {"max-position-distributions-agree"},
+}
+
+
+@pytest.mark.parametrize("suite", INJECTIONS)
+def test_a_scan_that_drops_a_witness_fails_the_claims_it_feeds(capsys, monkeypatch, suite):
+    module, only, expected = INJECTIONS[suite]
+    n = 4
+    # a row claim shows its whole row, so the fault shows as the row lowered at n
+    lowered = {claim_id: suites._count_row(5, patterns, 1)
+               for claim_id, patterns in ROW_CLAIMS.items()}
+    for row in lowered.values():
+        row[n - 1] -= 1
+    scan = module._enumerate
+
+    def dropping_the_last_witness(length, patterns, keep, workers):
+        result = scan(length, patterns, keep, workers)
+        if length != n or only not in (None, patterns):
+            return result
+        witnesses = None if result.witnesses is None else result.witnesses[:-1]
+        return EnumerationResult(result.machine, length, result.count - 1, witnesses)
+
+    monkeypatch.setattr(module, "_enumerate", dropping_the_last_witness)
+    code = cli.run(["verify", "--suite", suite, "--n-max", "5", "--format", "json"])
+    (report,) = json.loads(capsys.readouterr().out)["suites"]
+    failed = {c["claim_id"]: c["counterexamples"] for c in report["claims"]
+              if c["status"] == "fail"}
+    assert code == 1
+    assert set(failed) == expected | REFUTED_AT_FIVE.get(suite, set())
+    for claim_id in expected:
+        shown = failed[claim_id]
+        if claim_id in ROW_CLAIMS:
+            assert shown[0] == f"machine row  (n=1..5): {lowered[claim_id]}"
+        else:
+            assert all(ce.startswith(f"n={n}: ") for ce in shown), (claim_id, shown)
 
 
 # ---- alignment helper ------------------------------------------------------
