@@ -29,9 +29,10 @@ Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors and refused inputs, 3 on any other exception, which is
 a bug in the package and is reported as one "internal error:" line on
 stderr.  Every refusal is a ``ValueError``, raised by the layer that owns
-its rule; this module refuses only what no layer holds, such as a --perm
-of more than 100 entries.  The package's other exceptions, such as
-``signatures.NoMatch`` from ``west_map`` and
+its rule, ``sequences.Overflow`` for a table that leaves 128 bits among
+them; this module refuses only what no layer holds, such as a --perm of
+more than 100 entries or a trace past ``TRACE_COST_LIMIT``.  The package's
+other exceptions, such as ``signatures.NoMatch`` from ``west_map`` and
 ``sequences.NonIntegerCoefficient``, signal bugs and exit 3.
 """
 
@@ -81,10 +82,6 @@ def __getattr__(name: str):
 
 
 FORMATS = ("text", "json", "csv")
-
-#: Largest --n-max for sequences.  Every printed table fits in 128 bits up to
-#: here; the first term that does not is the large Schroder number S_54.
-SEQUENCES_N_MAX = 53
 
 #: Most pattern subsets a trace's push tests may check: a pattern of length k
 #: checks up to C(L - 1, k - 1) subsets of the stack on a --perm of length L.
@@ -300,11 +297,6 @@ def _sequence_tables(n_max: int) -> list[SequenceTable]:
 
 
 def _cmd_sequences(args: argparse.Namespace) -> Answer:
-    if not 0 <= args.n_max <= SEQUENCES_N_MAX:
-        raise ValueError(
-            f"sequences runs for n_max in 0..{SEQUENCES_N_MAX}, where every table"
-            f" fits in 128 bits; got {args.n_max}"
-        )
     _load("sequences")
     tables = _sequence_tables(args.n_max)
     lines = [

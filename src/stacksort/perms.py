@@ -169,7 +169,8 @@ def identity(n: int) -> Permutation:
 
 def parse_permutation(text: str) -> Permutation:
     """Parse one-line notation: whitespace or comma separators, or one digit per entry;
-    ``-`` is the empty permutation.
+    ``-`` is the empty permutation.  A comma-separated field that is empty, as
+    in ``3,,1,2`` or ``2,1,``, is refused rather than dropped.
 
     >>> parse_permutation("2 3 1 4")
     Permutation((2, 3, 1, 4))
@@ -184,6 +185,8 @@ def parse_permutation(text: str) -> Permutation:
         return Permutation(())
     if text.isdecimal():
         return Permutation.from_digits(text)
+    if "," in text and not all(field.strip() for field in text.split(",")):
+        raise MalformedToken(f"empty entry in permutation string {text!r}")
     tokens = text.replace(",", " ").split()
     values = []
     for tok in tokens:

@@ -4,7 +4,9 @@ Everything here is computed with plain integer arithmetic, but storage is
 contractually 128-bit: a term that leaves the signed 128-bit range raises
 Overflow instead of silently growing, so tables serialize portably (terms
 travel as decimal strings in JSON) and other implementations can hold them
-in fixed-width integers.
+in fixed-width integers.  That range is each table's only upper limit: a
+table checks every term as it builds it, so a larger n_max stops at the
+first term past the range (g_76, C_69, S_54).  Overflow is a ValueError.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from math import comb
 from .perms import _Frozen
 
 INT128_MAX = 2**127 - 1
-DEFAULT_N_MAX = 60
 
 #: Coefficients of 1 - 2z - 5z^2 - 2z^3 + z^4, the polynomial under the
 #: square root in the closed-form generating function for g.
 GF_RADICAND = (1, -2, -5, -2, 1)
 
 
-class Overflow(OverflowError):
+class Overflow(OverflowError, ValueError):
     """A term left the signed 128-bit range."""
 
 
@@ -65,10 +66,9 @@ class SequenceTable(_Frozen):
         }
 
 
-def _cap(n_max: int) -> int:
-    if not 0 <= n_max <= DEFAULT_N_MAX:
-        raise ValueError(f"n_max must be in 0..{DEFAULT_N_MAX}, got {n_max}")
-    return n_max
+def _require_nonnegative(n_max: int) -> None:
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
 
 
 def g_sequence(n_max: int) -> SequenceTable:
@@ -80,7 +80,7 @@ def g_sequence(n_max: int) -> SequenceTable:
     >>> g_sequence(8).terms
     (1, 1, 2, 4, 10, 26, 72, 206, 606)
     """
-    _cap(n_max)
+    _require_nonnegative(n_max)
     g = [1, 1][: n_max + 1]
     for n in range(2, n_max + 1):
         conv = sum(g[i] * g[n - 1 - i] for i in range(n))
@@ -118,7 +118,7 @@ def gf_coefficients(n_max: int) -> SequenceTable:
     >>> gf_coefficients(8).terms == g_sequence(8).terms
     True
     """
-    _cap(n_max)
+    _require_nonnegative(n_max)
     need = n_max + 2  # numerator is divided by 2z, so one extra order
     r = [1]
     for k in range(1, need):
@@ -148,7 +148,7 @@ def catalan(n_max: int) -> SequenceTable:
     >>> catalan(5).terms
     (1, 1, 2, 5, 14, 42)
     """
-    _cap(n_max)
+    _require_nonnegative(n_max)
     c = [1]
     for n in range(1, n_max + 1):
         c.append(_check128(sum(c[i] * c[n - 1 - i] for i in range(n)), f"C_{n}"))
@@ -181,7 +181,7 @@ def schroder_large(n_max: int) -> SequenceTable:
     >>> schroder_large(7).terms
     (1, 2, 6, 22, 90, 394, 1806, 8558)
     """
-    _cap(n_max)
+    _require_nonnegative(n_max)
     s = [1, 2][: n_max + 1]
     for k in range(2, n_max + 1):
         num = 3 * (2 * k - 1) * s[k - 1] - (k - 2) * s[k - 2]
@@ -201,7 +201,7 @@ def binomial_transform_catalan(n_max: int) -> SequenceTable:
     >>> binomial_transform_catalan(4).terms
     (1, 2, 5, 15, 51)
     """
-    _cap(n_max)
+    _require_nonnegative(n_max)
     c = catalan(n_max).terms
     return SequenceTable(
         "catalan-binomial-transform",
@@ -219,10 +219,9 @@ def powers_2_shifted(n_max: int) -> SequenceTable:
     >>> powers_2_shifted(5).terms
     (1, 2, 4, 8, 16)
     """
-    _cap(n_max)
-    return SequenceTable(
-        "powers-2-shifted", 1, tuple(2 ** (n - 1) for n in range(1, n_max + 1))
-    )
+    _require_nonnegative(n_max)
+    terms = (_check128(2 ** (n - 1), f"2^{n - 1}") for n in range(1, n_max + 1))
+    return SequenceTable("powers-2-shifted", 1, tuple(terms))
 
 
 def sort_123_321_closed(n: int) -> int:

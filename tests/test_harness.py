@@ -3,10 +3,13 @@ import importlib
 import json
 import warnings
 from itertools import combinations, permutations
+from types import ModuleType
+from typing import Callable, Mapping, NamedTuple
 
 import pytest
 
 from stacksort import cli, harness, suites
+from stacksort.dyck import BSequence
 from stacksort.harness import (
     CACHE_ENV_VAR,
     CorruptCacheEntry,
@@ -27,6 +30,9 @@ from stacksort.harness import (
     run_suites,
 )
 from stacksort.perms import (
+    PATTERN_123,
+    PATTERN_132,
+    PATTERN_321,
     STAR_132,
     BivincularPattern,
     DegeneratePair,
@@ -370,20 +376,6 @@ ROW_CLAIMS = {
     for patterns, reference in suites.TABLE_ROWS
 }
 
-#: Per suite: the module whose ``_enumerate`` it calls, the one machine a
-#: fault is injected into (None for every machine), and the claims the fault
-#: must fail.  The conjecture suite compares two machines, so the same fault
-#: in both would cancel in totals-agree.
-INJECTIONS = {
-    "characterization": (suites, None, {
-        "sortable-set-equals-avoider-set", "sortable-counts-follow-recurrence"}),
-    "structure": (suites, None, {
-        "counts-match-closed-form", "appending-new-max-marks-sortable"}),
-    "tables": (suites, None, {*ROW_CLAIMS, "row-123+321-matches-closed-form"}),
-    "conjecture": (harness, (P("132"), P("213")), {
-        "totals-agree", "first-entry-distributions-agree"}),
-}
-
 #: Claims failed at --n-max 5 with no fault: the refutations
 #: test_acceptance.py pins.
 REFUTED_AT_FIVE = {
@@ -391,38 +383,249 @@ REFUTED_AT_FIVE = {
     "conjecture": {"max-position-distributions-agree"},
 }
 
+#: The claims no fault can fail, and why.  The refuted row of tables is not
+#: here: it fails with no fault too, but the engine fault shows in its row.
+NOT_INJECTABLE = {
+    "max-position-distributions-agree":
+        "refuted by design: the two machines' max-position tables differ from n = 4 on",
+}
 
-@pytest.mark.parametrize("suite", INJECTIONS)
-def test_a_scan_that_drops_a_witness_fails_the_claims_it_feeds(capsys, monkeypatch, suite):
-    module, only, expected = INJECTIONS[suite]
-    n = 4
-    # a row claim shows its whole row, so the fault shows as the row lowered at n
-    lowered = {claim_id: suites._count_row(5, patterns, 1)
-               for claim_id, patterns in ROW_CLAIMS.items()}
-    for row in lowered.values():
-        row[n - 1] -= 1
-    scan = module._enumerate
 
-    def dropping_the_last_witness(length, patterns, keep, workers):
+def _at(wrong):
+    """A fault in a function whose first argument is a length or a word:
+    ``wrong(original, first, *rest)`` answers where that length is n."""
+
+    def patch(original, n):
+        def faulty(first, *rest):
+            size = first if isinstance(first, int) else len(first)
+            return (wrong(original, first, *rest) if size == n
+                    else original(first, *rest))
+        return faulty
+
+    return patch
+
+
+def _dropping_the_last_witness(only=None):
+    """An engine fault: the scan at n loses its last witness, in one
+    machine's scan or (only None) in every machine's."""
+
+    def wrong(scan, length, patterns, keep, workers):
         result = scan(length, patterns, keep, workers)
-        if length != n or only not in (None, patterns):
+        if only not in (None, patterns):
             return result
         witnesses = None if result.witnesses is None else result.witnesses[:-1]
         return EnumerationResult(result.machine, length, result.count - 1, witnesses)
 
-    monkeypatch.setattr(module, "_enumerate", dropping_the_last_witness)
-    code = cli.run(["verify", "--suite", suite, "--n-max", "5", "--format", "json"])
+    return _at(wrong)
+
+
+def _adding_the_identity(scan, length, patterns, keep, workers):
+    # an engine fault: the unsortable identity joins the (123,321) witnesses
+    result = scan(length, patterns, keep, workers)
+    if patterns != (PATTERN_123, PATTERN_321):
+        return result
+    witnesses = (*result.witnesses, identity(length))
+    return EnumerationResult(result.machine, length, result.count + 1, witnesses)
+
+
+def _sharing_a_signature(target):
+    # the last avoider of the target class takes the first one's signature
+    def wrong(signatures_of, length, pattern):
+        found = dict(signatures_of(length, pattern))  # the original is cached
+        if pattern == target:
+            words = list(found)
+            found[words[-1]] = found[words[0]]
+        return found
+    return _at(wrong)
+
+
+def _ending_a_123_signature_in_three(signatures_of, length, pattern):
+    # the first 123-avoider's signature ends in 3 instead of 2
+    found = dict(signatures_of(length, pattern))
+    if pattern == PATTERN_123:
+        first = next(iter(found))
+        found[first] = (*found[first][:-1], 3)
+    return found
+
+
+def _moving_the_last_site(sites_of, x, pattern):
+    # the last active site of a 123-avoider moves one place right: a gap
+    sites = sites_of(x, pattern)
+    if pattern != PATTERN_123:
+        return sites
+    return sites - {max(sites)} | {max(sites) + 1}
+
+
+def _dropping_the_last_site(sites_of, x, pattern):
+    # a 123-avoider loses its last active site: the interval stays, one shorter
+    sites = sites_of(x, pattern)
+    return sites - {max(sites)} if pattern == PATTERN_123 else sites
+
+
+def _totalling_one_more(tabulate, *args):
+    table = tabulate(*args)
+    return table._replace(total=table.total + 1)
+
+
+def _altering_an_embedded_prefix(rows, n):
+    # A011782's embedded term at index n gains one; the rows the suite
+    # aligns read OEIS_PREFIXES, built at import, so only this claim sees it
+    altered = []
+    for table, generate in rows:
+        if table.name == "A011782":
+            terms = list(table.terms)
+            terms[n - table.offset] += 1
+            table = SequenceTable(table.name, table.offset, tuple(terms))
+        altered.append((table, generate))
+    return tuple(altered)
+
+
+class Fault(NamedTuple):
+    """A small wrong answer at one length n, and the claims it must fail.
+
+    ``patch(original, n)`` builds the value that replaces ``name`` in
+    ``module``, the namespace the suite reads it from: ``suites`` for every
+    suite but conjecture, which stays in ``harness``.  ``shown`` gives the
+    exact counterexamples of the claims checked at fixed lengths; every
+    other failed claim names n in each counterexample.
+    """
+
+    suite: str
+    module: ModuleType
+    name: str
+    n: int
+    patch: Callable
+    fails: frozenset[str]
+    shown: Mapping[str, list[str]] = {}
+
+
+A011782 = suites.OEIS_PREFIXES["A011782"]
+
+FAULTS = {
+    "characterization": Fault(
+        "characterization", suites, "_enumerate", 4, _dropping_the_last_witness(),
+        frozenset({"sortable-set-equals-avoider-set", "sortable-counts-follow-recurrence"})),
+    "structure": Fault(
+        "structure", suites, "_enumerate", 4, _dropping_the_last_witness(),
+        frozenset({"counts-match-closed-form", "appending-new-max-marks-sortable"})),
+    "tables": Fault(
+        "tables", suites, "_enumerate", 4, _dropping_the_last_witness(),
+        frozenset({*ROW_CLAIMS, "row-123+321-matches-closed-form"})),
+    # the same fault in both machines would cancel in totals-agree
+    "conjecture": Fault(
+        "conjecture", harness, "_enumerate", 4, _dropping_the_last_witness((P("132"), P("213"))),
+        frozenset({"totals-agree", "first-entry-distributions-agree"})),
+    "conjecture-tables-sum-to-more": Fault(
+        "conjecture", harness, "_distribution", 4, _at(_totalling_one_more),
+        frozenset({"statistics-partition-the-totals"})),
+    "structure-identity-sorts": Fault(
+        "structure", suites, "_enumerate", 5, _at(_adding_the_identity),
+        frozenset({
+            "counts-match-closed-form", "sortable-avoids-123", "first-entry-is-top-two",
+            "last-entry-is-bottom-two", "max-precedes-one-and-two",
+            "pass-output-pairs-two-one", "swap-of-top-two-fixes-pass-output",
+            "appending-new-max-marks-sortable",
+        })),
+    "tables-embedded-prefix-altered": Fault(
+        "tables", suites, "REFERENCE_ROWS", 4, _altering_an_embedded_prefix,
+        frozenset({"references-match-embedded-prefixes"}),
+        {"references-match-embedded-prefixes": [
+            f"A011782: generated {tuple(2 ** k for k in range(9))} vs embedded"
+            f" {tuple(t + (k == 4) for k, t in enumerate(A011782.terms))}"]}),
+    "west-golden-signature": Fault(
+        "west", suites, "signature", 5, _at(lambda sign, x, y: (*sign(x, y)[:-1], 3)),
+        frozenset({"golden-pair-45231-42153"}),
+        {"golden-pair-45231-42153": [
+            "signature of 45231 is (4, 4, 3, 3, 3)", "signature renders as 4.4.3.3.3"]}),
+    "west-123-signatures-collide": Fault(
+        "west", suites, "_signatures", 4, _sharing_a_signature(PATTERN_123),
+        frozenset({"signature-determines-123-avoider", "signature-sets-coincide",
+                   "plateau-marks-adjacent-middle-132"})),
+    "west-132-signatures-collide": Fault(
+        "west", suites, "_signatures", 4, _sharing_a_signature(PATTERN_132),
+        frozenset({"signature-determines-132-avoider", "signature-sets-coincide",
+                   "plateau-marks-adjacent-middle-123"})),
+    "west-signature-ends-in-three": Fault(
+        "west", suites, "_signatures", 4, _at(_ending_a_123_signature_in_three),
+        frozenset({"signatures-end-in-two", "signature-sets-coincide"})),
+    "west-map-collapses": Fault(
+        "west", suites, "west_map", 4,
+        _at(lambda match, x, source, target: match(P("4321"), source, target)
+            if source == PATTERN_132 else match(x, source, target)),
+        frozenset({"signature-matching-bijects-avoider-classes",
+                   "matching-restricts-to-starred-classes"})),
+    "west-plateau-flips": Fault(
+        "west", suites, "has_plateau", 4, _at(lambda plateau, sig: not plateau(sig)),
+        frozenset({"plateau-marks-adjacent-middle-132", "plateau-marks-adjacent-middle-123"})),
+    "west-max-removal-wrong": Fault(
+        "west", suites, "smallest_k", 5, _at(lambda _, x, k: P("1324")),
+        frozenset({"max-removal-keeps-starred-avoidance",
+                   "active-site-recursion-under-max-removal"})),
+    "west-active-sites-gap": Fault(
+        "west", suites, "active_sites", 4, _at(_moving_the_last_site),
+        frozenset({"active-sites-form-prefix-interval"})),
+    "west-active-sites-short": Fault(
+        "west", suites, "active_sites", 4, _at(_dropping_the_last_site),
+        frozenset({"first-active-count-locates-max"})),
+    "dyck-golden-b-sequence": Fault(
+        "dyck", suites, "rotem_b_sequence", 11,
+        _at(lambda read, x: BSequence((*read(x).b[:-1], 2))),
+        frozenset({"golden-grid-and-path"}),
+        {"golden-grid-and-path": ["b sequence is (11, 10, 10, 9, 9, 8, 6, 4, 4, 4, 2)"]}),
+    "dyck-path-missing": Fault(
+        "dyck", suites, "dyck_paths", 4, _at(lambda paths, n: list(paths(n))[:-1]),
+        frozenset({"staircase-map-bijects-onto-paths"})),
+    "dyck-staircase-collapses": Fault(
+        "dyck", suites, "rotem_map", 4, _at(lambda encode, x: encode(P("4321"))),
+        frozenset({"staircase-map-bijects-onto-paths",
+                   "dudu-factor-marks-adjacent-middle-132"})),
+    "dyck-cell-capacity-flips": Fault(
+        "dyck", suites, "cell_capacity_ok", 4, _at(lambda fits, x: not fits(x)),
+        frozenset({"cell-capacity-marks-adjacent-middle-132"})),
+    "dyck-automaton-counts-one-more": Fault(
+        "dyck", suites, "count_dyck_avoiding", 4, _at(lambda count, n, w: count(n, w) + 1),
+        frozenset({"path-counts-close-the-triangle"})),
+}
+
+
+@pytest.mark.parametrize("case", FAULTS)
+def test_a_scan_that_drops_a_witness_fails_the_claims_it_feeds(capsys, monkeypatch, case):
+    # named for its first faults; each case is one wrong answer at one n
+    fault = FAULTS[case]
+    n = fault.n
+    # a row claim shows its whole row, so the fault shows as the row lowered at n
+    lowered = {claim_id: suites._count_row(5, ROW_CLAIMS[claim_id], 1)
+               for claim_id in fault.fails & ROW_CLAIMS.keys()}
+    for row in lowered.values():
+        row[n - 1] -= 1
+    monkeypatch.setattr(fault.module, fault.name,
+                        fault.patch(getattr(fault.module, fault.name), n))
+    code = cli.run(["verify", "--suite", fault.suite, "--n-max", "5", "--format", "json"])
     (report,) = json.loads(capsys.readouterr().out)["suites"]
     failed = {c["claim_id"]: c["counterexamples"] for c in report["claims"]
               if c["status"] == "fail"}
     assert code == 1
-    assert set(failed) == expected | REFUTED_AT_FIVE.get(suite, set())
-    for claim_id in expected:
+    assert set(failed) == fault.fails | REFUTED_AT_FIVE.get(fault.suite, set())
+    for claim_id in fault.fails:
         shown = failed[claim_id]
-        if claim_id in ROW_CLAIMS:
+        if claim_id in fault.shown:
+            assert shown == fault.shown[claim_id]
+        elif claim_id in ROW_CLAIMS:
             assert shown[0] == f"machine row  (n=1..5): {lowered[claim_id]}"
         else:
-            assert all(ce.startswith(f"n={n}: ") for ce in shown), (claim_id, shown)
+            named = [ce for ce in shown if not ce.startswith("... and ")]  # a truncation line
+            assert all(ce.startswith(f"n={n}: ") for ce in named), (claim_id, shown)
+
+
+def test_every_claim_has_a_fault_that_fails_it_or_a_reason_it_cannot(capsys):
+    code = cli.run(["verify", "--suite", "all", "--n-max", "5", "--format", "json"])
+    suites_run = json.loads(capsys.readouterr().out)["suites"]
+    claim_ids = [c["claim_id"] for report in suites_run for c in report["claims"]]
+    injected = set().union(*(fault.fails for fault in FAULTS.values()))
+    assert code == 1
+    assert len(claim_ids) == len(set(claim_ids))
+    assert not injected & NOT_INJECTABLE.keys()
+    assert set(claim_ids) == injected | NOT_INJECTABLE.keys()
 
 
 # ---- alignment helper ------------------------------------------------------

@@ -265,9 +265,9 @@ def test_pattern_names():
 
 def test_deleting_the_last_entry_keeps_a_word_sortable():
     # the lemma behind growing the sortable set at its last entry: the
-    # standardized prefix of a sortable word is sortable, for every pair of
-    # distinct 3-patterns and the single patterns 123, 132 and 321
-    machines = list(combinations(THREES, 2)) + [(P("123"),), (P("132"),), (P("321"),)]
+    # standardized prefix of a sortable word is sortable, for all 21 machines
+    # of length-3 patterns: the 15 pairs and the 6 single patterns
+    machines = list(combinations(THREES, 2)) + [(p,) for p in THREES]
     for patterns in machines:
         entries = [p.entries for p in patterns]
         shorter = {()}

@@ -43,11 +43,22 @@ def test_parse_and_format_round_trip():
         assert format_permutation(parse_permutation(text)) == text
 
 
+def test_every_separator_form_reads_the_same_entries():
+    for text, entries in (
+        ("2, 3, 1, 4", (2, 3, 1, 4)),
+        ("2314", (2, 3, 1, 4)),
+        ("1 2,3", (1, 2, 3)),
+        ("10,9,8,7,6,5,4,3,2,1", tuple(range(10, 0, -1))),
+    ):
+        assert parse_permutation(text).entries == entries
+
+
 def test_the_empty_permutation_prints_and_reads_back_as_a_dash():
     empty = Permutation(())
     assert format_permutation(empty) == str(empty) == "-"
     assert parse_permutation("-") == parse_permutation(" - ") == empty
-    assert parse_permutation("") == empty  # the form cache entries once held
+    # the form cache entries once held
+    assert parse_permutation("") == parse_permutation("  ") == empty
     with pytest.raises(MalformedToken):
         parse_permutation("1 - 2")
 
@@ -61,6 +72,10 @@ def test_parse_rejects_garbage():
         parse_permutation("1 3 3")
     with pytest.raises(NotABijection):
         parse_permutation("1 5 2")
+    # an empty comma field is refused, not dropped into a shorter permutation
+    for text in ("3,,1,2", ",2,1", "2,1,", ","):
+        with pytest.raises(MalformedToken, match="empty entry"):
+            parse_permutation(text)
 
 
 def test_from_digits():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -131,6 +132,29 @@ def test_overflow_guards():
     # the slower-growing tables stay comfortably inside 128 bits
     assert g_sequence(60).terms[-1] <= INT128_MAX
     assert catalan(60).terms[-1] <= INT128_MAX
+
+
+@pytest.mark.parametrize("table, last_n, first_out", [
+    (g_sequence, 75, "g_76"),
+    (f_sequence, 75, "g_76"),
+    (gf_coefficients, 74, "r_76"),
+    (catalan, 68, "C_69"),
+    (schroder_large, 53, "S_54"),
+    (binomial_transform_catalan, 58, "b_59"),
+    (powers_2_shifted, 127, "2^127"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_each_table_runs_to_its_own_128_bit_limit(table, last_n, first_out):
+    assert table(last_n).terms[-1] <= INT128_MAX
+    with pytest.raises(Overflow, match=f"^{re.escape(first_out)} leaves the 128-bit range$"):
+        table(last_n + 1)
+    with pytest.raises(Overflow):
+        table(10**9)  # stops at the first term past the range, not at n_max
+
+
+def test_overflow_is_a_refused_request():
+    assert issubclass(Overflow, OverflowError) and issubclass(Overflow, ValueError)
+    with pytest.raises(ValueError, match="^n_max must be nonnegative, got -1$"):
+        g_sequence(-1)
 
 
 def test_table_indexing_and_json():
