@@ -31,9 +31,10 @@ a bug in the package and is reported as one "internal error:" line on
 stderr.  Every refusal is a ``ValueError``, raised by the layer that owns
 its rule, ``sequences.Overflow`` for a table that leaves 128 bits among
 them; this module refuses only what no layer holds, such as a --perm of
-more than 100 entries or a trace past ``TRACE_COST_LIMIT``.  The package's
-other exceptions, such as ``signatures.NoMatch`` from ``west_map`` and
-``sequences.NonIntegerCoefficient``, signal bugs and exit 3.
+more than 100 entries, a trace past ``TRACE_COST_LIMIT``, and a
+``signature`` whose --sigma is not 123 or 132 or whose --perm contains it.
+The package's other exceptions, such as ``signatures.NoMatch`` from
+``west_map`` and ``sequences.NonIntegerCoefficient``, signal bugs and exit 3.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def _cmd_signature(args: argparse.Namespace) -> Answer:
     if pattern_name(y) not in ("123", "132"):
         raise ValueError(f"--sigma takes 123 or 132, got {args.sigma!r}")
     if contains_classical(x, y):
-        raise ValueError(f"{x} contains {y}")
+        raise ValueError(f"{x} contains {pattern_name(y)}")
     _load("signatures")
     sig = signature(x, y)
     plateau = has_plateau(sig)

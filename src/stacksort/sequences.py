@@ -232,5 +232,9 @@ def sort_123_321_closed(n: int) -> int:
     """
     if n < 1:
         raise ValueError("defined for n >= 1")
-    value = 2 ** (n - 1) if n <= 3 else 7 * 2 ** (n - 4)
-    return _check128(value, f"count at n={n}")
+    if n <= 3:
+        return 2 ** (n - 1)
+    # 7 * 2**k fits exactly when 2**k <= INT128_MAX // 7: refuse before building it
+    if n - 4 >= (INT128_MAX // 7).bit_length():
+        raise Overflow(f"count at n={n} leaves the 128-bit range")
+    return 7 * 2 ** (n - 4)

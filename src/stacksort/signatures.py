@@ -19,9 +19,10 @@ answer a certificate that it exists and is unique.
 Signatures of a whole avoider class are built level by level: removing the
 maximum of an avoider leaves an avoider one shorter whose signature is the
 tail of the longer one's, so each avoider costs one active-site count on top
-of the class one shorter.  Those signatures and the signature -> avoider
-index built from them are the exhaustive certificates the west suite and
-the tests check the decoder against.
+of the class one shorter.  Those signatures are the exhaustive certificate
+the west suite checks the decoder against; only the tests and the
+benchmark's cache counter (``perfbench/spans.py`` ``CACHES``) read the
+signature -> avoider index built from them.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .perms import (
     avoiders,
     contains_classical,
     insert_max_at,
+    pattern_name,
     smallest_k,
     _require_generation_cap,
     _word_contains,
@@ -171,7 +173,8 @@ def _signature_index(n: int, target: Permutation) -> Mapping[tuple[int, ...], Pe
         clash = index.get(sig)
         if clash is not None:
             raise DuplicateSignature(
-                f"{x} and {clash} share the {target} signature {format_signature(sig)}"
+                f"{x} and {clash} share the {pattern_name(target)} signature "
+                f"{format_signature(sig)}"
             )
         index[sig] = x
     return MappingProxyType(index)
@@ -209,11 +212,12 @@ def avoider_with_signature(sig: tuple[int, ...], target: Permutation) -> Permuta
         found = [child for count, child in _children(y, target) if count == sig[k]]
         if not found:
             raise NoMatch(
-                f"no {target}-avoider of length {n} has signature {format_signature(sig)}"
+                f"no {pattern_name(target)}-avoider of length {n} has signature "
+                f"{format_signature(sig)}"
             )
         if len(found) > 1:
             raise DuplicateSignature(
-                f"{found[0]} and {found[1]} share the {target} signature "
+                f"{found[0]} and {found[1]} share the {pattern_name(target)} signature "
                 f"{format_signature(sig[k:])}"
             )
         y = found[0]
@@ -240,5 +244,5 @@ def west_map(x: Permutation, source: Permutation, target: Permutation) -> Permut
     # which costs far more than the answer at any length past the cap
     _require_generation_cap(len(x))
     if contains_classical(x, source):
-        raise SourceNotAvoider(f"{x} contains {source}")
+        raise SourceNotAvoider(f"{x} contains {pattern_name(source)}")
     return avoider_with_signature(signature(x, source), target)

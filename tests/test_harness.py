@@ -8,6 +8,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import pytest
 
+import oracles
 from stacksort import cli, harness, suites
 from stacksort.dyck import BSequence
 from stacksort.harness import (
@@ -462,6 +463,13 @@ def _dropping_the_last_site(sites_of, x, pattern):
     return sites - {max(sites)} if pattern == PATTERN_123 else sites
 
 
+def _adding_a_site_past_the_word(sites_of, x, pattern):
+    # a 123-avoider gains the site after its last one: the interval stays,
+    # one longer, and may count more sites than x has entries
+    sites = sites_of(x, pattern)
+    return sites | {max(sites) + 1} if pattern == PATTERN_123 else sites
+
+
 def _totalling_one_more(tabulate, *args):
     table = tabulate(*args)
     return table._replace(total=table.total + 1)
@@ -554,6 +562,14 @@ FAULTS = {
             if source == PATTERN_132 else match(x, source, target)),
         frozenset({"signature-matching-bijects-avoider-classes",
                    "matching-restricts-to-starred-classes"})),
+    # the identity contains 123, so its image is a wrong answer the suite
+    # must not hand back to west_map, which refuses it
+    "west-map-to-the-identity": Fault(
+        "west", suites, "west_map", 4,
+        _at(lambda match, x, source, target: identity(len(x))
+            if source == PATTERN_132 else match(x, source, target)),
+        frozenset({"signature-matching-bijects-avoider-classes",
+                   "matching-restricts-to-starred-classes"})),
     "west-plateau-flips": Fault(
         "west", suites, "has_plateau", 4, _at(lambda plateau, sig: not plateau(sig)),
         frozenset({"plateau-marks-adjacent-middle-132", "plateau-marks-adjacent-middle-123"})),
@@ -566,6 +582,9 @@ FAULTS = {
         frozenset({"active-sites-form-prefix-interval"})),
     "west-active-sites-short": Fault(
         "west", suites, "active_sites", 4, _at(_dropping_the_last_site),
+        frozenset({"first-active-count-locates-max"})),
+    "west-active-sites-past-the-word": Fault(
+        "west", suites, "active_sites", 4, _at(_adding_a_site_past_the_word),
         frozenset({"first-active-count-locates-max"})),
     "dyck-golden-b-sequence": Fault(
         "dyck", suites, "rotem_b_sequence", 11,
@@ -626,6 +645,37 @@ def test_every_claim_has_a_fault_that_fails_it_or_a_reason_it_cannot(capsys):
     assert len(claim_ids) == len(set(claim_ids))
     assert not injected & NOT_INJECTABLE.keys()
     assert set(claim_ids) == injected | NOT_INJECTABLE.keys()
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper; returns the list of its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_west_maps_each_avoider_once_and_builds_no_class_of_its_own(capsys, monkeypatch):
+    maps = _counting(monkeypatch, suites, "west_map")
+    scans = _counting(monkeypatch, suites, "avoiders")
+    assert cli.run(["verify", "--suite", "west", "--n-max", "5"]) == 0
+    capsys.readouterr()
+    # one map and one round trip per 132-avoider of length 0..5, plus the
+    # golden claim's two; the classes come from _signatures
+    assert len(maps) == 2 * sum(oracles.catalan(n) for n in range(6)) + 2 == 132
+    assert scans == []
+
+
+def test_dyck_builds_the_123_avoiders_once_per_length(capsys, monkeypatch):
+    scans = _counting(monkeypatch, suites, "avoiders")
+    assert cli.run(["verify", "--suite", "dyck", "--n-max", "5"]) == 0
+    capsys.readouterr()
+    assert scans == [(n, PatternSet.of(PATTERN_123)) for n in range(6)]
 
 
 # ---- alignment helper ------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -117,11 +118,21 @@ def test_closed_form_values():
     assert [sort_123_321_closed(n) for n in range(1, 11)] == [
         1, 2, 4, 7, 14, 28, 56, 112, 224, 448,
     ]
+    assert sort_123_321_closed(128) == 7 * 2**124 <= INT128_MAX  # the last that fits
 
 
 def test_closed_form_doubles_from_four():
     for n in range(4, 30):
         assert sort_123_321_closed(n + 1) == 2 * sort_123_321_closed(n)
+
+
+@pytest.mark.parametrize("n", [129, 10**9, 10**18])
+def test_closed_form_refuses_past_128_bits_before_building_the_count(n):
+    # 7 * 2**(n - 4) would take n / 8 bytes; the refusal reads only n
+    start = time.perf_counter()
+    with pytest.raises(Overflow, match=f"^count at n={n} leaves the 128-bit range$"):
+        sort_123_321_closed(n)
+    assert time.perf_counter() - start < 1
 
 
 def test_overflow_guards():

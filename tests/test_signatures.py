@@ -108,14 +108,16 @@ def test_every_avoider_has_a_partner(monkeypatch):
 
 
 def test_decoder_refuses_what_no_single_avoider_has():
-    with pytest.raises(NoMatch):
+    # each message names the pattern as pattern_name does
+    with pytest.raises(NoMatch, match="^no 123-avoider of length 2 has signature 5.2$"):
         avoider_with_signature((5, 2), P123)
-    with pytest.raises(NoMatch):
+    with pytest.raises(NoMatch, match="^no 132-avoider of length 1 has signature 1$"):
         avoider_with_signature((1,), P132)
     # 12 and 21 both leave three sites free for a new maximum under 1234
-    with pytest.raises(DuplicateSignature):
+    shared = "^2 1 and 1 2 share the 1234 signature 3.2$"
+    with pytest.raises(DuplicateSignature, match=shared):
         _signature_index(2, P("1234"))
-    with pytest.raises(DuplicateSignature):
+    with pytest.raises(DuplicateSignature, match=shared):
         avoider_with_signature((3, 2), P("1234"))
 
 
