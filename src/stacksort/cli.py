@@ -29,10 +29,11 @@ Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors and refused inputs, 3 on any other exception, which is
 a bug in the package and is reported as one "internal error:" line on
 stderr.  Every refusal is a ``ValueError``, raised by the layer that owns
-its rule, ``sequences.Overflow`` for a table that leaves 128 bits among
-them; this module refuses only what no layer holds, such as a --perm of
-more than 100 entries, a trace past ``TRACE_COST_LIMIT``, and a
-``signature`` whose --sigma is not 123 or 132 or whose --perm contains it.
+its rule, ``sequences.Overflow`` for a table or a Dyck count that leaves
+128 bits among them; this module refuses only what no layer holds, such as
+a blank --perm, a --perm of more than 100 entries, a trace past
+``TRACE_COST_LIMIT``, and a ``signature`` whose --sigma is not 123 or 132
+or whose --perm contains it.
 The package's other exceptions, such as ``signatures.NoMatch`` from
 ``west_map`` and ``sequences.NonIntegerCoefficient``, signal bugs and exit 3.
 """
@@ -91,6 +92,9 @@ TRACE_COST_LIMIT = 2 * math.comb(PERM_LENGTH_LIMIT - 1, 3)
 
 
 def _parse_perm(token: str) -> Permutation:
+    # a blank --perm is most likely an unset shell variable, not a request
+    if not token.strip():
+        raise ValueError("--perm is blank; the empty permutation is -")
     x = parse_permutation(token)
     if len(x) > PERM_LENGTH_LIMIT:
         raise LengthTooLarge(
@@ -269,7 +273,7 @@ def _cmd_dyck(args: argparse.Namespace) -> Answer:
             },
         )
     n = args.n
-    avoiding = count_dyck_avoiding(n, FACTOR_DUDU)  # refuses n outside 0..cap first
+    avoiding = count_dyck_avoiding(n, FACTOR_DUDU)  # refuses n < 0 and n >= 69 first
     _load("sequences")
     total = catalan(n)[n]
     return Answer(

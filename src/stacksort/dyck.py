@@ -237,8 +237,6 @@ def contains_factor(p: DyckPath, w: str) -> bool:
 def _require_semilength(n: int) -> None:
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    if n > DEFAULT_SEMILENGTH_CAP:
-        raise SemilengthTooLarge(f"semilength {n} above the cap {DEFAULT_SEMILENGTH_CAP}")
 
 
 def dyck_paths(n: int) -> Iterator[DyckPath]:
@@ -248,6 +246,8 @@ def dyck_paths(n: int) -> Iterator[DyckPath]:
     ['uudd', 'udud']
     """
     _require_semilength(n)
+    if n > DEFAULT_SEMILENGTH_CAP:
+        raise SemilengthTooLarge(f"semilength {n} above the cap {DEFAULT_SEMILENGTH_CAP}")
 
     word: list[str] = []
 
@@ -291,14 +291,20 @@ def count_dyck_avoiding(n: int, w: str) -> int:
 
     A transfer-matrix count over (height, KMP state of w), one step at a
     time, dropping every step that would complete w.  The empty factor
-    occurs in every path, so it leaves none.
+    occurs in every path, so it leaves none.  No count exceeds C_n, so it
+    refuses n where ``sequences.catalan`` does, from 69, where C_n leaves
+    128 bits.  A bound on the count alone would never refuse ``ud``, whose
+    count stays 0.
 
     >>> [count_dyck_avoiding(n, FACTOR_DUDU) for n in range(1, 7)]
     [1, 2, 4, 10, 26, 72]
     >>> count_dyck_avoiding(3, "")
     0
     """
+    from .sequences import catalan  # here, so that dyck --perm loads only dyck
+
     _require_semilength(n)
+    catalan(n)
     if not w:
         return 0
     automaton = _factor_automaton(w)

@@ -6,14 +6,20 @@ value on top would make that word contain a forbidden pattern, the top is
 popped to the output instead and the test runs again.  When the input is
 exhausted the stack is flushed.
 
-The generator ``_pops`` is the only implementation of that pass; it yields
-values in the order they leave the stack.  West's classical stack sort is the
-pass with the single forbidden pattern 21, and the two-stack machine is the
-pass for {sigma, tau} followed by it.  A trace is rebuilt from the pop order.
-West's pass sorts exactly the 231-avoiding words (Knuth, TAOCP Vol. 1,
-2.2.1), so the sortability test runs no second pass: it holds the first
-stack's output on a plain list in place of the second stack and stops at the
-first value that would leave it out of order, the 2 of a 231.
+``_pops`` runs one pass and returns the values in the order they leave the
+stack.  West's classical stack sort is the pass with the single forbidden
+pattern 21, and the two-stack machine is the pass for {sigma, tau} followed
+by it.  A trace is rebuilt from the pop order.  West's pass sorts exactly
+the 231-avoiding words (Knuth, TAOCP Vol. 1, 2.2.1), so the sortability test
+runs no second pass: it holds the first stack's output on a plain list in
+place of the second stack and stops at the first value that would leave it
+out of order, the 2 of a 231.
+
+The sortability test runs in steps on explicit state, which a caller may
+copy after any prefix: ``stack`` and ``held``, the two stacks as lists from
+bottom to top, and ``expected``, the next value the output needs.  ``_feed``
+pushes one value through both stacks, ``_finish`` flushes them, and
+``_hold`` is the second stack's one rule.
 
 The push test lives in ``perms``: ``_ends_at`` is the same new-entry test
 the avoider generator runs on its prefix.  The stack is kept as a list from
@@ -25,7 +31,7 @@ whole top-to-bottom word by ``perms._word_contains``.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .perms import (
     PATTERN_21,
@@ -97,7 +103,7 @@ class StackTrace(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _compile(patterns: PatternSet):
-    """Compile a forbidden set for ``_pops``.
+    """Compile a forbidden set for ``_pops`` and ``_feed``.
 
     The stack is a list from bottom to top, so the word it must avoid, read
     top to bottom, is that list reversed, and a push appends to the list.
@@ -121,22 +127,17 @@ def _blocked_with_bivincular(stack: list[int], v: int, compiled) -> bool:
     return _ends_at(stack, v, classical) or any(_word_contains(word, b) for b in bivincular)
 
 
-def _pops(word: Iterable[int], compiled) -> Iterator[int]:
-    """The right-greedy pass, yielding values in the order they leave the stack.
-
-    This loop is the only definition of the machine: both stacks, traced or
-    not, run through it, and a consumer may stop at any value.
-    """
+def _pops(word: Iterable[int], compiled) -> tuple[int, ...]:
+    """One pass: the values of word in the order they leave the stack.
+    ``_feed`` repeats its pop loop; a generator shared by both slowed the scan."""
     blocked, data = compiled
     stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
+    out: list[int] = []
     for v in word:
         while stack and blocked(stack, v, data):
-            yield pop()
-        push(v)
-    while stack:
-        yield pop()
+            out.append(stack.pop())
+        stack.append(v)
+    return (*out, *reversed(stack))
 
 
 def _replay(entries: tuple[int, ...], popped: tuple[int, ...]) -> tuple[StackStep, ...]:
@@ -164,24 +165,56 @@ def _replay(entries: tuple[int, ...], popped: tuple[int, ...]) -> tuple[StackSte
     return tuple(steps)
 
 
+def _hold(held: list[int], expected: int, u: int) -> int:
+    """The second stack's one rule: before u is held, every smaller held value
+    leaves, and each must be the next expected one.  Returns the next
+    expected value, or 0 when a value would leave out of order."""
+    while held and held[-1] < u:
+        if held.pop() != expected:
+            return 0
+        expected += 1
+    held.append(u)
+    return expected
+
+
+def _feed(stack: list[int], held: list[int], expected: int, v: int, blocked, data) -> int:
+    """Push v through both stacks: each blocked pop of the first stack goes
+    to ``_hold``.  Returns the next expected value, or 0 as ``_hold`` does."""
+    while stack and blocked(stack, v, data):
+        expected = _hold(held, expected, stack.pop())
+        if not expected:
+            return 0
+    stack.append(v)
+    return expected
+
+
+def _finish(stack: list[int], held: list[int], expected: int) -> bool:
+    """Flush both stacks: does the rest leave as expected, expected + 1, ...?
+    Only the first stack's values can fail: ``_hold`` keeps ``held`` decreasing
+    from the bottom, and on a word of 1..n it ends holding expected..n."""
+    for u in reversed(stack):
+        expected = _hold(held, expected, u)
+        if not expected:
+            return False
+    return True
+
+
 def _sortable_word(word: Iterable[int], compiled) -> bool:
     """Does the {sigma, tau} pass followed by the 21 pass output 1, 2, ..., n?
 
-    The 21 pass is checked, not run: before a value is held on the second
-    stack, every smaller held value leaves and must be the next expected one;
-    when the first pass ends, the held values, read from the top, must be
-    the rest.  So the test stops reading at the first value that would
-    leave the second stack out of order.
+    The 21 pass is checked, not run: ``_feed`` sends each value the first
+    stack pops to the second stack's rule, and the test stops reading at the
+    first value that would leave out of order.
     """
+    blocked, data = compiled
+    stack: list[int] = []
     held: list[int] = []
     expected = 1
-    for v in _pops(word, compiled):
-        while held and held[-1] < v:
-            if held.pop() != expected:
-                return False
-            expected += 1
-        held.append(v)
-    return held[::-1] == list(range(expected, expected + len(held)))
+    for v in word:
+        expected = _feed(stack, held, expected, v, blocked, data)
+        if not expected:
+            return False
+    return _finish(stack, held, expected)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +236,7 @@ def pattern_stack_pass(
     output and a full step-by-step trace.
     """
     patterns = PatternSet.coerce(patterns)
-    output = tuple(_pops(x.entries, _compile(patterns)))
+    output = _pops(x.entries, _compile(patterns))
     if not want_trace:
         return Permutation(output)
     trace = StackTrace(patterns, x, _replay(x.entries, output), Permutation(output))

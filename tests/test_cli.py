@@ -74,7 +74,7 @@ def test_trace_rejects_a_degenerate_pair(capsys):
 
 
 def test_trace_of_the_empty_permutation(capsys):
-    for perm in ("-", ""):
+    for perm in ("-", " - "):
         code, out, err = invoke(
             capsys, "trace", "--sigma", "132", "--tau", "321", "--perm", perm
         )
@@ -629,13 +629,31 @@ def test_empty_values_print_as_a_dash(capsys, argv, out):
     assert invoke(capsys, *argv) == (0, out, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ("trace", "--sigma", "132", "--tau", "321"),
+    ("signature", "--sigma", "132"),
+    ("west-map", "--sigma", "132", "--tau", "123"),
+    ("dyck",),
+], ids=["trace", "signature", "west-map", "dyck"])
+def test_a_blank_perm_is_refused(capsys, argv):
+    # an unset shell variable must not run the empty permutation; - names it
+    for blank in ("", "  "):
+        assert invoke(capsys, *argv, "--perm", blank) == (
+            2, "", "error: --perm is blank; the empty permutation is -\n"
+        )
+
+
 def test_dyck_count_mode(capsys):
     code, out, _ = invoke(capsys, "dyck", "--n", "6", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc == {"n": 6, "paths": 132, "avoiding_dudu": 72}
     code, out, err = invoke(capsys, "dyck", "--n", "15")
-    assert (code, out, err) == (2, "", "error: semilength 15 above the cap 14\n")
+    assert (code, out, err) == (
+        0, "Dyck paths of semilength 15: 9694845, avoiding dudu: 1742308\n", ""
+    )
+    code, out, err = invoke(capsys, "dyck", "--n", "69")
+    assert (code, out, err) == (2, "", "error: C_69 leaves the 128-bit range\n")
     code, out, err = invoke(capsys, "dyck", "--n", "-1")
     assert (code, out) == (2, "")
     assert err.startswith("error:")

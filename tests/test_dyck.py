@@ -20,6 +20,7 @@ from stacksort.dyck import (
     rotem_map,
 )
 from stacksort.perms import STAR_132, Permutation, avoiders, contains_bivincular
+from stacksort.sequences import Overflow, g_sequence
 
 P = Permutation.from_digits
 P123 = P("123")
@@ -129,7 +130,15 @@ def test_count_avoiding_matches_filter():
 
 
 def test_generation_cap():
+    # listing stops at the cap; counting goes on until C_n leaves 128 bits,
+    # which bounds every count, even the ones that stay 0 or 1 for every n
     with pytest.raises(SemilengthTooLarge):
         list(dyck_paths(40))
-    with pytest.raises(SemilengthTooLarge):
-        count_dyck_avoiding(40, FACTOR_DUDU)
+    for w in (FACTOR_DUDU, "ud", "uud"):
+        with pytest.raises(Overflow, match="C_69"):
+            count_dyck_avoiding(69, w)
+    assert (count_dyck_avoiding(68, "ud"), count_dyck_avoiding(68, "uud")) == (0, 1)
+
+
+def test_dudu_free_counts_are_the_g_sequence_up_to_the_limit():
+    assert [count_dyck_avoiding(n, FACTOR_DUDU) for n in range(69)] == list(g_sequence(68).terms)

@@ -15,6 +15,8 @@ from stacksort.machine import (
     InvalidTrace,
     StackTrace,
     _compile,
+    _feed,
+    _finish,
     _sortable_word,
     is_sortable,
     machine,
@@ -134,6 +136,44 @@ def test_sortable_word_reads_no_input_past_the_first_value_out_of_order():
 
     assert not _sortable_word(entries(), _compile(PatternSet.of(P("132"), P("321"))))
     assert read == [1, 2, 3, 4]
+
+
+def _standardize(values):
+    rank = {v: k for k, v in enumerate(sorted(values), 1)}
+    return [rank[v] for v in values]
+
+
+def test_the_pass_state_can_be_copied_at_every_prefix():
+    # a walk over the words grown one entry at a time keeps the state
+    # (stack, held, expected) after each prefix and feeds copies of it.  A
+    # copy fed the rest of the word decides the word and leaves the original
+    # as it was; a live state with its output dropped and its values
+    # standardized finishes as the standardized prefix does.
+    machines = list(combinations(THREES, 2)) + [(p,) for p in THREES]
+    for patterns in machines:
+        compiled = _compile(PatternSet.of(*patterns))
+        blocked, data = compiled
+        for n in range(7):
+            for w in iter_perms(range(1, n + 1)):
+                want = _sortable_word(w, compiled)
+                stack, held, expected = [], [], 1
+                for i in range(n + 1):
+                    before = (stack[:], held[:], expected)
+                    copy_stack, copy_held, e = stack[:], held[:], expected
+                    for v in w[i:]:
+                        e = e and _feed(copy_stack, copy_held, e, v, blocked, data)
+                    assert bool(e and _finish(copy_stack, copy_held, e)) == want, (w, i, patterns)
+                    assert (stack, held, expected) == before
+                    std = _standardize(stack + held)
+                    prefix = _standardize(w[:i])
+                    std_finish = _finish(std[: len(stack)], std[len(stack):], 1)
+                    assert std_finish == _sortable_word(prefix, compiled), (w, i, patterns)
+                    if i == n:
+                        break
+                    expected = _feed(stack, held, expected, w[i], blocked, data)
+                    if not expected:
+                        assert not want, (w, i, patterns)
+                        break
 
 
 def test_degenerate_and_empty_pattern_sets():
