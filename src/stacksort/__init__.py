@@ -48,9 +48,10 @@ _EXPORTS = {
         "sort_123_321_closed",
     ),
     "harness": (
-        "EnumerationResult", "SuiteReport", "VerificationReport", "conjecture_tables",
-        "enumerate_cached", "enumerate_single_machine", "enumerate_sortable", "run_suites",
+        "EnumerationResult", "conjecture_tables", "enumerate_cached",
+        "enumerate_single_machine", "enumerate_sortable", "run_suites",
     ),
+    "suites": ("SuiteReport", "VerificationReport"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

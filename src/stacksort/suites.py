@@ -4,26 +4,33 @@ Each suite is a function ``(n_max, workers) -> SuiteReport`` that checks one
 family of claims pointwise over every length up to ``n_max``:
 characterization (the (132,321)-sortable set and its count), west (the
 signatures and the signature-matching bijection), dyck (the staircase
-encoding of 123-avoiders), structure (the (123,321)-sortable set), and
-tables (count rows aligned against reference sequences).  A suite declares
-each claim once, as its id and the first length it holds from, and a
-generator yields (claim id, n, detail) for every counterexample;
-``harness._report`` turns the two into the report.  Claims checked at fixed
-lengths (the golden examples, the table rows) are built whole and go first.
-A failed check becomes a counterexample in the report, never an exception:
-a check reads the classes and maps its suite built once per length, and
-never hands an answer under check back to a layer that refuses it.
+encoding of 123-avoiders), structure (the (123,321)-sortable set), tables
+(count rows aligned against reference sequences), and conjecture (the
+(132,213) and (213,312) machines compared on each statistic of
+``STATISTICS``; that tuple alone names the statistics, their claim ids,
+JSON keys and text labels).  ``SUITES`` names them all.
 
-``SUITES`` names them all, together with the conjecture suite, which stays
-in ``harness`` beside ``conjecture_tables``.  This module imports every
-layer, so ``harness.run_suites`` loads it only when a suite runs, and an
+A suite declares each claim once, as its id and the first length it holds
+from, and a generator yields (claim id, n, detail) for every
+counterexample; ``_report`` turns the two into the report.  Claims checked
+at fixed lengths (the golden examples, the table rows) are built whole and
+go first.  A failed check becomes a counterexample in the report, never an
+exception, so a false claim shows up loudly in the report and in the exit
+code without taking the rest of the suite down with it; a claim whose
+length range is empty is reported as skipped.  A check reads the classes
+and maps its suite built once per length, and never hands an answer under
+check back to a layer that refuses it.
+
+This module imports every layer, so ``harness.run_suites`` and
+``harness.conjecture_tables`` load it only when a suite runs, and an
 enumeration answered from the cache never does.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dyck import (
     FACTOR_DUDU,
@@ -35,16 +42,7 @@ from .dyck import (
     rotem_b_sequence,
     rotem_map,
 )
-from .harness import (
-    Failure,
-    SuiteReport,
-    VerificationReport,
-    _claim,
-    _enumerate,
-    _report,
-    _require_n_max,
-    verify_conjecture,
-)
+from .harness import _enumerate
 from .machine import is_sortable, pattern_stack_pass
 from .perms import (
     PATTERN_123,
@@ -57,6 +55,7 @@ from .perms import (
     Permutation,
     STAR_123,
     STAR_132,
+    SUITE_CAPS,
     avoiders,
     contains_bivincular,
     contains_classical,
@@ -106,6 +105,120 @@ REFERENCE_ROWS: tuple[tuple[SequenceTable, Callable[[int], SequenceTable] | None
 
 #: The reference prefixes keyed by catalog id.
 OEIS_PREFIXES: Mapping[str, SequenceTable] = {table.name: table for table, _ in REFERENCE_ROWS}
+
+
+# ---- reports -------------------------------------------------------------
+
+PASS = "pass"
+FAIL = "fail"
+SKIP = "skip"
+
+
+class VerificationReport(NamedTuple):
+    """Outcome of one claim checked over a range of lengths.
+
+    A claim fails exactly when it has counterexamples.  One whose range is
+    empty examined nothing and is skipped, which does not fail its suite.
+    """
+
+    claim_id: str
+    n_range: tuple[int, int]
+    counterexamples: tuple[str, ...] = ()
+    detail: str = ""
+
+    @property
+    def status(self) -> str:
+        if self.counterexamples:
+            return FAIL
+        return PASS if self.n_range[0] <= self.n_range[1] else SKIP
+
+    def to_json_dict(self) -> dict:
+        return {
+            "claim_id": self.claim_id,
+            "n_range": list(self.n_range),
+            "status": self.status,
+            "counterexamples": list(self.counterexamples),
+            "detail": self.detail,
+        }
+
+
+class SuiteReport(NamedTuple):
+    """All claims of one verification suite, in a fixed order."""
+
+    suite: str
+    n_max: int
+    claims: tuple[VerificationReport, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(claim.status != FAIL for claim in self.claims)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "suite": self.suite,
+            "n_max": self.n_max,
+            "passed": self.passed,
+            "claims": [claim.to_json_dict() for claim in self.claims],
+        }
+
+    def render_text(self) -> str:
+        lines = [f"suite {self.suite} (n_max={self.n_max}): "
+                 f"{'all claims hold' if self.passed else 'FAILURES'}"]
+        for claim in self.claims:
+            lo, hi = claim.n_range
+            mark = {PASS: "ok  ", FAIL: "FAIL", SKIP: "skip"}[claim.status]
+            suffix = f"  [{claim.detail}]" if claim.detail else ""
+            lines.append(f"  {mark} {claim.claim_id} (n={lo}..{hi}){suffix}")
+            for ce in claim.counterexamples:
+                lines.append(f"         {ce}")
+        return "\n".join(lines)
+
+
+_COUNTEREXAMPLE_LIMIT = 5
+
+#: One counterexample a suite yields to ``_report``: (claim id, n, detail).
+Failure = tuple[str, int, str]
+
+
+def _claim(
+    claim_id: str,
+    lo: int,
+    hi: int,
+    counterexamples: Sequence[str],
+    detail: str = "",
+) -> VerificationReport:
+    shown = tuple(counterexamples[:_COUNTEREXAMPLE_LIMIT])
+    overflow = len(counterexamples) - len(shown)
+    if overflow > 0:
+        shown += (f"... and {overflow} more",)
+    return VerificationReport(claim_id, (lo, hi), shown, detail)
+
+
+def _report(
+    suite: str,
+    n_max: int,
+    claims: Sequence[tuple[str, int]],
+    failures: Iterable[Failure],
+    fixed: Sequence[VerificationReport] = (),
+) -> SuiteReport:
+    """A suite's report: the ``fixed`` claims, then each (claim id, first
+    length) of ``claims`` checked up to n_max, failed by the (claim id, n,
+    detail) tuples of ``failures`` that name it.  A failure outside the
+    declared claims and lengths is a bug in the suite, so it raises."""
+    first = dict(claims)
+    found: dict[str, list[str]] = {claim_id: [] for claim_id in first}
+    for claim_id, n, detail in failures:
+        if claim_id not in first or not first[claim_id] <= n <= n_max:
+            raise RuntimeError(f"suite {suite} has no claim {claim_id!r} at n={n}")
+        found[claim_id].append(f"n={n}: {detail}")
+    checked = (_claim(claim_id, lo, n_max, found[claim_id]) for claim_id, lo in claims)
+    return SuiteReport(suite, n_max, (*fixed, *checked))
+
+
+def _require_n_max(n_max: int, suite: str) -> None:
+    cap = SUITE_CAPS[suite]
+    if not 0 <= n_max <= cap:
+        raise ValueError(f"{suite} runs for n_max in 0..{cap}, got {n_max}")
 
 
 # ---- suites --------------------------------------------------------------
@@ -472,6 +585,117 @@ def verify_tables(n_max: int, workers: int = 1) -> SuiteReport:
         if count != sort_123_321_closed(n)
     )
     return _report("tables", n_max, [(closed_id, 1)], failures, fixed=claims)
+
+
+# ---- the equidistribution conjecture -------------------------------------
+
+
+class Statistic(NamedTuple):
+    """One statistic the conjecture suite refines the sortable sets by."""
+
+    claim_id: str
+    key: str  # JSON key of its distribution
+    label: str  # text label of its distribution
+    value: Callable[[Permutation], int]  # 0 on the empty permutation
+
+
+STATISTICS = (
+    Statistic("first-entry-distributions-agree", "by_first_entry", "by first entry",
+              lambda x: x.entries[0] if len(x) else 0),
+    Statistic("max-position-distributions-agree", "by_position_of_max", "by position of max",
+              lambda x: index_of(x, len(x)) if len(x) else 0),
+)
+
+
+class DistributionTable(NamedTuple):
+    """A machine's sortable set counted by each of ``STATISTICS``.
+
+    ``distributions`` maps each statistic's key to its value -> count table,
+    in increasing value order.
+    """
+
+    machine: tuple[str, ...]
+    n: int
+    total: int
+    distributions: Mapping[str, Mapping[int, int]]
+
+    def to_json_dict(self) -> dict:
+        document = {"machine": list(self.machine), "n": self.n}
+        for key, counts in self.distributions.items():
+            document[key] = {str(k): v for k, v in counts.items()}
+        return document
+
+    def render_text(self) -> str:
+        lines = [f"machine {'+'.join(self.machine)}, n={self.n}, total {self.total}"]
+        for stat in STATISTICS:
+            counts = ", ".join(f"{k}:{v}" for k, v in self.distributions[stat.key].items())
+            lines.append(f"  {stat.label + ':':<20} {counts or '-'}")
+        return "\n".join(lines)
+
+
+def _distribution(n: int, patterns: tuple[Permutation, ...], workers: int) -> DistributionTable:
+    scan = _enumerate(n, patterns, True, workers)
+    distributions = {
+        stat.key: dict(sorted(Counter(map(stat.value, scan.witnesses)).items()))
+        for stat in STATISTICS
+    }
+    return DistributionTable(scan.machine, n, scan.count, distributions)
+
+
+#: The conjecture suite's claims, in report order.
+CONJECTURE_CLAIMS = (
+    "totals-agree",
+    *(stat.claim_id for stat in STATISTICS),
+    "statistics-partition-the-totals",
+)
+
+
+def _conjecture_pair(n: int, workers: int) -> tuple[DistributionTable, ...]:
+    machines = ((PATTERN_132, PATTERN_213), (PATTERN_213, PATTERN_312))
+    return tuple(_distribution(n, patterns, workers) for patterns in machines)
+
+
+def _conjecture_failures(n: int, tables: Sequence[DistributionTable]) -> Iterator[Failure]:
+    """(claim id, n, detail) for each conjecture claim the pair breaks at n."""
+    compared = [("totals-agree", [t.total for t in tables])] + [
+        (stat.claim_id, [t.distributions[stat.key] for t in tables]) for stat in STATISTICS
+    ]
+    for claim_id, (a, b) in compared:
+        if a != b:
+            yield claim_id, n, f"{a} vs {b}"
+    for t in tables:
+        if any(sum(counts.values()) != t.total for counts in t.distributions.values()):
+            yield "statistics-partition-the-totals", n, f"{t.machine} tables sum differently"
+
+
+def conjecture_tables(
+    n: int, workers: int = 1
+) -> tuple[DistributionTable, DistributionTable, SuiteReport]:
+    """Refined counts for the (132,213) and (213,312) machines and whether
+    they agree entry for entry.
+
+    Agreement here is evidence, not proof: the claim is open, so a clean
+    pass at desk scale says nothing beyond the lengths actually scanned,
+    and any disagreement must surface as a failed claim.
+    """
+    cap = SUITE_CAPS["conjecture"]
+    if not 0 <= n <= cap:
+        raise ValueError(f"conjecture tables run for n in 0..{cap}, got {n}")
+    tables = _conjecture_pair(n, workers)
+    claims = [(claim_id, n) for claim_id in CONJECTURE_CLAIMS]
+    return (*tables, _report("conjecture", n, claims, _conjecture_failures(n, tables)))
+
+
+def verify_conjecture(n_max: int, workers: int = 1) -> SuiteReport:
+    """The conjecture claims at every length from 1 to n_max."""
+    _require_n_max(n_max, "conjecture")
+    failures = (
+        failure
+        for n in range(1, n_max + 1)
+        for failure in _conjecture_failures(n, _conjecture_pair(n, workers))
+    )
+    claims = [(claim_id, 1) for claim_id in CONJECTURE_CLAIMS]
+    return _report("conjecture", n_max, claims, failures)
 
 
 SUITES = {

@@ -19,7 +19,7 @@ import oracles
 import stacksort
 from stacksort import cli, harness, signatures, suites
 from stacksort.cli import build_parser, run
-from stacksort.perms import SUITE_CAPS, Permutation
+from stacksort.perms import SUITE_CAPS, Permutation, pattern_name
 from stacksort.sequences import NonIntegerCoefficient, Overflow, schroder_large
 
 SRC = Path(stacksort.__file__).resolve().parents[1]
@@ -181,6 +181,36 @@ def test_enumerate_keeps_apart_machines_whose_digits_read_alike(capsys, tmp_path
          "scanned in 5 blocks\n"),
     ]
     assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def _benchmark_pair_counts() -> dict:
+    """``PAIR_COUNTS`` of perfbench/schedule.py, read without importing it."""
+    tree = ast.parse((SPANS.parent / "schedule.py").read_text())
+    (value,) = (node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["PAIR_COUNTS"])
+    return ast.literal_eval(value)
+
+
+def test_a_shared_cache_answers_as_a_fresh_one(capsys, tmp_path):
+    # every machine the benchmark and the tables suite scan, and the two
+    # whose patterns of 11 entries once shared a name, at every n <= 5 in
+    # every format: the first format scans into the shared directory and the
+    # others read it, among all the other entries; each must print what the
+    # same request prints into a directory of its own
+    machines = [tuple(map(pattern_name, patterns)) for patterns, _ in suites.TABLE_ROWS]
+    assert set(_benchmark_pair_counts()) <= set(machines)
+    machines += [("123", "10,9,8,7,6,5,4,3,2,1,11"), ("123", "10 9 8 7 6 5 4 3 2 11 1")]
+    shared = tmp_path / "shared"
+    for i, fmt in enumerate(("text", "json", "csv")):
+        for machine in machines:
+            patterns = ["--sigma", machine[0], *(["--tau", machine[1]] if machine[1:] else [])]
+            for n in range(6):
+                argv = ["enumerate", *patterns, "--n", str(n), "--format", fmt]
+                code, out, err = invoke(capsys, *argv, "--cache-dir", str(shared))
+                assert (code, err == "cache hit\n") == (0, i > 0), argv
+                fresh = tmp_path / f"fresh-{fmt}-{machines.index(machine)}-{n}"
+                assert invoke(capsys, *argv, "--cache-dir", str(fresh))[:2] == (0, out), argv
+    assert len(list(shared.glob("*.json"))) == 6 * len(machines)
 
 
 def test_enumerate_rescans_an_entry_stored_under_another_key(capsys, tmp_path):
@@ -924,7 +954,7 @@ LAYERS_RUN = {
     ("enumerate", "--sigma", "132", "--tau", "321", "--n", "5", "--cache-dir", "{filled}"):
         ("harness",),
     ("verify", "--suite", "dyck", "--n-max", "2"): EVERY_LAYER + ("suites",),
-    ("conjecture", "--n", "2"): ("machine", "harness"),
+    ("conjecture", "--n", "2"): EVERY_LAYER + ("suites",),
 }
 
 

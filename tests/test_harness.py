@@ -3,7 +3,6 @@ import importlib
 import json
 import warnings
 from itertools import combinations, permutations
-from types import ModuleType
 from typing import Callable, Mapping, NamedTuple
 
 import pytest
@@ -492,14 +491,12 @@ class Fault(NamedTuple):
     """A small wrong answer at one length n, and the claims it must fail.
 
     ``patch(original, n)`` builds the value that replaces ``name`` in
-    ``module``, the namespace the suite reads it from: ``suites`` for every
-    suite but conjecture, which stays in ``harness``.  ``shown`` gives the
+    ``suites``, the namespace every suite reads it from.  ``shown`` gives the
     exact counterexamples of the claims checked at fixed lengths; every
     other failed claim names n in each counterexample.
     """
 
     suite: str
-    module: ModuleType
     name: str
     n: int
     patch: Callable
@@ -511,23 +508,23 @@ A011782 = suites.OEIS_PREFIXES["A011782"]
 
 FAULTS = {
     "characterization": Fault(
-        "characterization", suites, "_enumerate", 4, _dropping_the_last_witness(),
+        "characterization", "_enumerate", 4, _dropping_the_last_witness(),
         frozenset({"sortable-set-equals-avoider-set", "sortable-counts-follow-recurrence"})),
     "structure": Fault(
-        "structure", suites, "_enumerate", 4, _dropping_the_last_witness(),
+        "structure", "_enumerate", 4, _dropping_the_last_witness(),
         frozenset({"counts-match-closed-form", "appending-new-max-marks-sortable"})),
     "tables": Fault(
-        "tables", suites, "_enumerate", 4, _dropping_the_last_witness(),
+        "tables", "_enumerate", 4, _dropping_the_last_witness(),
         frozenset({*ROW_CLAIMS, "row-123+321-matches-closed-form"})),
     # the same fault in both machines would cancel in totals-agree
     "conjecture": Fault(
-        "conjecture", harness, "_enumerate", 4, _dropping_the_last_witness((P("132"), P("213"))),
+        "conjecture", "_enumerate", 4, _dropping_the_last_witness((P("132"), P("213"))),
         frozenset({"totals-agree", "first-entry-distributions-agree"})),
     "conjecture-tables-sum-to-more": Fault(
-        "conjecture", harness, "_distribution", 4, _at(_totalling_one_more),
+        "conjecture", "_distribution", 4, _at(_totalling_one_more),
         frozenset({"statistics-partition-the-totals"})),
     "structure-identity-sorts": Fault(
-        "structure", suites, "_enumerate", 5, _at(_adding_the_identity),
+        "structure", "_enumerate", 5, _at(_adding_the_identity),
         frozenset({
             "counts-match-closed-form", "sortable-avoids-123", "first-entry-is-top-two",
             "last-entry-is-bottom-two", "max-precedes-one-and-two",
@@ -535,29 +532,29 @@ FAULTS = {
             "appending-new-max-marks-sortable",
         })),
     "tables-embedded-prefix-altered": Fault(
-        "tables", suites, "REFERENCE_ROWS", 4, _altering_an_embedded_prefix,
+        "tables", "REFERENCE_ROWS", 4, _altering_an_embedded_prefix,
         frozenset({"references-match-embedded-prefixes"}),
         {"references-match-embedded-prefixes": [
             f"A011782: generated {tuple(2 ** k for k in range(9))} vs embedded"
             f" {tuple(t + (k == 4) for k, t in enumerate(A011782.terms))}"]}),
     "west-golden-signature": Fault(
-        "west", suites, "signature", 5, _at(lambda sign, x, y: (*sign(x, y)[:-1], 3)),
+        "west", "signature", 5, _at(lambda sign, x, y: (*sign(x, y)[:-1], 3)),
         frozenset({"golden-pair-45231-42153"}),
         {"golden-pair-45231-42153": [
             "signature of 45231 is (4, 4, 3, 3, 3)", "signature renders as 4.4.3.3.3"]}),
     "west-123-signatures-collide": Fault(
-        "west", suites, "_signatures", 4, _sharing_a_signature(PATTERN_123),
+        "west", "_signatures", 4, _sharing_a_signature(PATTERN_123),
         frozenset({"signature-determines-123-avoider", "signature-sets-coincide",
                    "plateau-marks-adjacent-middle-132"})),
     "west-132-signatures-collide": Fault(
-        "west", suites, "_signatures", 4, _sharing_a_signature(PATTERN_132),
+        "west", "_signatures", 4, _sharing_a_signature(PATTERN_132),
         frozenset({"signature-determines-132-avoider", "signature-sets-coincide",
                    "plateau-marks-adjacent-middle-123"})),
     "west-signature-ends-in-three": Fault(
-        "west", suites, "_signatures", 4, _at(_ending_a_123_signature_in_three),
+        "west", "_signatures", 4, _at(_ending_a_123_signature_in_three),
         frozenset({"signatures-end-in-two", "signature-sets-coincide"})),
     "west-map-collapses": Fault(
-        "west", suites, "west_map", 4,
+        "west", "west_map", 4,
         _at(lambda match, x, source, target: match(P("4321"), source, target)
             if source == PATTERN_132 else match(x, source, target)),
         frozenset({"signature-matching-bijects-avoider-classes",
@@ -565,44 +562,44 @@ FAULTS = {
     # the identity contains 123, so its image is a wrong answer the suite
     # must not hand back to west_map, which refuses it
     "west-map-to-the-identity": Fault(
-        "west", suites, "west_map", 4,
+        "west", "west_map", 4,
         _at(lambda match, x, source, target: identity(len(x))
             if source == PATTERN_132 else match(x, source, target)),
         frozenset({"signature-matching-bijects-avoider-classes",
                    "matching-restricts-to-starred-classes"})),
     "west-plateau-flips": Fault(
-        "west", suites, "has_plateau", 4, _at(lambda plateau, sig: not plateau(sig)),
+        "west", "has_plateau", 4, _at(lambda plateau, sig: not plateau(sig)),
         frozenset({"plateau-marks-adjacent-middle-132", "plateau-marks-adjacent-middle-123"})),
     "west-max-removal-wrong": Fault(
-        "west", suites, "smallest_k", 5, _at(lambda _, x, k: P("1324")),
+        "west", "smallest_k", 5, _at(lambda _, x, k: P("1324")),
         frozenset({"max-removal-keeps-starred-avoidance",
                    "active-site-recursion-under-max-removal"})),
     "west-active-sites-gap": Fault(
-        "west", suites, "active_sites", 4, _at(_moving_the_last_site),
+        "west", "active_sites", 4, _at(_moving_the_last_site),
         frozenset({"active-sites-form-prefix-interval"})),
     "west-active-sites-short": Fault(
-        "west", suites, "active_sites", 4, _at(_dropping_the_last_site),
+        "west", "active_sites", 4, _at(_dropping_the_last_site),
         frozenset({"first-active-count-locates-max"})),
     "west-active-sites-past-the-word": Fault(
-        "west", suites, "active_sites", 4, _at(_adding_a_site_past_the_word),
+        "west", "active_sites", 4, _at(_adding_a_site_past_the_word),
         frozenset({"first-active-count-locates-max"})),
     "dyck-golden-b-sequence": Fault(
-        "dyck", suites, "rotem_b_sequence", 11,
+        "dyck", "rotem_b_sequence", 11,
         _at(lambda read, x: BSequence((*read(x).b[:-1], 2))),
         frozenset({"golden-grid-and-path"}),
         {"golden-grid-and-path": ["b sequence is (11, 10, 10, 9, 9, 8, 6, 4, 4, 4, 2)"]}),
     "dyck-path-missing": Fault(
-        "dyck", suites, "dyck_paths", 4, _at(lambda paths, n: list(paths(n))[:-1]),
+        "dyck", "dyck_paths", 4, _at(lambda paths, n: list(paths(n))[:-1]),
         frozenset({"staircase-map-bijects-onto-paths"})),
     "dyck-staircase-collapses": Fault(
-        "dyck", suites, "rotem_map", 4, _at(lambda encode, x: encode(P("4321"))),
+        "dyck", "rotem_map", 4, _at(lambda encode, x: encode(P("4321"))),
         frozenset({"staircase-map-bijects-onto-paths",
                    "dudu-factor-marks-adjacent-middle-132"})),
     "dyck-cell-capacity-flips": Fault(
-        "dyck", suites, "cell_capacity_ok", 4, _at(lambda fits, x: not fits(x)),
+        "dyck", "cell_capacity_ok", 4, _at(lambda fits, x: not fits(x)),
         frozenset({"cell-capacity-marks-adjacent-middle-132"})),
     "dyck-automaton-counts-one-more": Fault(
-        "dyck", suites, "count_dyck_avoiding", 4, _at(lambda count, n, w: count(n, w) + 1),
+        "dyck", "count_dyck_avoiding", 4, _at(lambda count, n, w: count(n, w) + 1),
         frozenset({"path-counts-close-the-triangle"})),
 }
 
@@ -617,8 +614,7 @@ def test_a_scan_that_drops_a_witness_fails_the_claims_it_feeds(capsys, monkeypat
                for claim_id in fault.fails & ROW_CLAIMS.keys()}
     for row in lowered.values():
         row[n - 1] -= 1
-    monkeypatch.setattr(fault.module, fault.name,
-                        fault.patch(getattr(fault.module, fault.name), n))
+    monkeypatch.setattr(suites, fault.name, fault.patch(getattr(suites, fault.name), n))
     code = cli.run(["verify", "--suite", fault.suite, "--n-max", "5", "--format", "json"])
     (report,) = json.loads(capsys.readouterr().out)["suites"]
     failed = {c["claim_id"]: c["counterexamples"] for c in report["claims"]

@@ -79,6 +79,25 @@ def test_pass_against_naive_engine_exhaustively():
                 assert fast.entries == slow, (x, patterns)
 
 
+def test_pass_and_sortability_against_naive_engine_on_random_sets():
+    # forbidden sets of mixed lengths, as enumerate takes them: 300 sets of
+    # 1-3 classical patterns of length 2-5, each on 30 random words
+    rng = random.Random(0)
+
+    def shuffled(n):
+        return tuple(rng.sample(range(1, n + 1), n))
+
+    for _ in range(300):
+        ps = [shuffled(rng.randint(2, 5)) for _ in range(rng.randint(1, 3))]
+        pset = PatternSet.of(*map(Permutation, ps))
+        compiled = _compile(pset)
+        for _ in range(30):
+            w = shuffled(rng.randint(0, 7))
+            assert pattern_stack_pass(Permutation(w), pset).entries == oracles.stack_pass(
+                w, classical=ps), (w, ps)
+            assert _sortable_word(w, compiled) == oracles.machine_sorts(w, *ps), (w, ps)
+
+
 def test_star_pass_against_naive_engine():
     patterns = PatternSet.of(P("123"), STAR_132)
     for n in range(7):
