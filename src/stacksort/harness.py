@@ -89,6 +89,11 @@ class EnumerationResult(_Frozen):
         count: int,
         witnesses: tuple[Permutation, ...] | None,
     ) -> None:
+        if not isinstance(machine, tuple) or not all(isinstance(t, str) for t in machine):
+            raise TypeError("machine must be a tuple of pattern names")
+        # bool is a subclass of int, and a JSON number may be a float
+        if not all(type(v) is int and v >= 0 for v in (n, count)):
+            raise TypeError("n and count must be nonnegative integers")
         self._freeze(machine, n, count, witnesses)
         if witnesses is not None and len(witnesses) != count:
             raise ValueError("witness list disagrees with the count")
@@ -117,9 +122,6 @@ class EnumerationResult(_Frozen):
         machine, n, count, witnesses = (data[k] for k in ("machine", "n", "count", "witnesses"))
         if not isinstance(machine, list) or not all(isinstance(t, str) for t in machine):
             raise TypeError("machine must be a list of pattern names")
-        # bool is a subclass of int, and a JSON number may be a float
-        if not all(type(v) is int and v >= 0 for v in (n, count)):
-            raise TypeError("n and count must be nonnegative integers")
         if witnesses is not None and not (
             isinstance(witnesses, list) and all(isinstance(w, str) for w in witnesses)
         ):

@@ -25,8 +25,9 @@ DEFAULT_GENERATION_CAP = 12
 
 #: Longest permutation ``signatures.signature`` accepts, and the longest
 #: --perm the CLI's trace, signature, west-map and dyck --perm accept.  The
-#: slowest of them, the signature of the decreasing permutation, takes about
-#: 1.5 s at length 100 and 18 s at length 200.
+#: slowest of them at this length is trace on two length-4 patterns (13 s for
+#: --sigma 2134 --tau 1324 on the decreasing permutation, in a fresh process
+#: on a 2-vCPU machine); west-map answers every permutation within it.
 PERM_LENGTH_LIMIT = 100
 
 #: Largest n_max each verification suite in ``suites.SUITES`` accepts; also

@@ -16,18 +16,30 @@ permutation and takes, at each level, the one child whose count matches; no
 match raises NoMatch and two raise DuplicateSignature, which makes every
 answer a certificate that it exists and is unique.
 
-Signatures of a whole avoider class are built level by level: removing the
-maximum of an avoider leaves an avoider one shorter whose signature is the
-tail of the longer one's, so each avoider costs one active-site count on top
-of the class one shorter.  Those signatures are the exhaustive certificate
-the west suite checks the decoder against; only the tests and the
-benchmark's cache counter (``perfbench/spans.py`` ``CACHES``) read the
-signature -> avoider index built from them.
+On the avoiders of 123 and 132 the active sites follow a rule, so
+``_open_sites`` reads them off the word in linear time.  Under 123 a new
+maximum may land anywhere left of the larger entry of the first ascent:
+the sites are 1..r+1, where r is the length of the initial decreasing run.
+Under 132 it may land wherever every entry to its left exceeds every entry
+to its right.  For any other pattern ``_open_sites`` asks
+``active_sites``, which stays the definition the west suite and the tests
+check the rule against.
+
+``signature`` reads x's levels once, smallest first: level k is x's values
+1..k in place order, so it is level k-1 with k inserted at one site.  Level
+k avoids the pattern exactly when level k-1 does and k sits on an open site
+of it; a level that contains the pattern has no active site, and neither
+has any level above it.  Signatures of a whole avoider class are these
+signatures over ``avoiders``; they are the exhaustive certificate the west
+suite checks the decoder against, and only the tests and the benchmark's
+cache counter (``perfbench/spans.py`` ``CACHES``) read the signature ->
+avoider index built from them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping
 
@@ -42,8 +54,6 @@ from .perms import (
     contains_classical,
     insert_max_at,
     pattern_name,
-    smallest_k,
-    _require_generation_cap,
     _word_contains,
 )
 
@@ -84,14 +94,39 @@ def active_sites(x: Permutation, y: Permutation) -> frozenset[int]:
     )
 
 
+def _open_sites(word: tuple[int, ...], y: Permutation) -> frozenset[int]:
+    """``active_sites`` of a word of 1..len(word) that avoids y, by the rule
+    for 123 and 132 in linear time, and by ``active_sites`` for any other y.
+
+    >>> sorted(_open_sites((4, 5, 2, 3, 1), PATTERN_132))
+    [1, 3, 5, 6]
+    >>> sorted(_open_sites((3, 1, 4, 2), PATTERN_123))
+    [1, 2, 3]
+    """
+    if y == PATTERN_123:
+        run = next((i for i in range(1, len(word)) if word[i] > word[i - 1]), len(word))
+        return frozenset(range(1, run + 2))
+    if y == PATTERN_132:
+        # the p entries left of site p+1 exceed all the others exactly when
+        # they are the p largest, that is when their minimum is n+1-p
+        n = len(word)
+        return frozenset(
+            p + 1
+            for p, low in enumerate(accumulate(word, min, initial=n + 1))
+            if low == n + 1 - p
+        )
+    return active_sites(Permutation(word), y)
+
+
 def signature(x: Permutation, y: Permutation) -> tuple[int, ...]:
     """Active-site counts of x with each of its largest entries peeled off.
 
     Entry j counts the active sites of the sub-permutation formed by the
     len(x)+1-j smallest values of x.  The first entry looks at x itself,
     the last at a singleton, which always has both sites active, so every
-    nonempty signature ends in 2.  The cost grows about as len(x)**3.6, so
-    lengths above PERM_LENGTH_LIMIT raise LengthTooLarge before any work.
+    nonempty signature ends in 2.  Under 123 and 132 the cost grows as
+    len(x)**2; lengths above PERM_LENGTH_LIMIT raise LengthTooLarge before
+    any work.
 
     >>> signature(Permutation.from_digits("45231"), PATTERN_132)
     (4, 4, 3, 3, 2)
@@ -103,9 +138,13 @@ def signature(x: Permutation, y: Permutation) -> tuple[int, ...]:
     m = len(x)
     if m > PERM_LENGTH_LIMIT:
         raise LengthTooLarge(f"n={m} above the signature limit {PERM_LENGTH_LIMIT}")
-    return tuple(
-        len(active_sites(smallest_k(x, m + 1 - j), y)) for j in range(1, m + 1)
-    )
+    sites = _open_sites((), y)
+    counts = []
+    for k in range(1, m + 1):
+        level = tuple(v for v in x.entries if v <= k)
+        sites = _open_sites(level, y) if level.index(k) + 1 in sites else frozenset()
+        counts.append(len(sites))
+    return tuple(reversed(counts))
 
 
 def format_signature(sig: tuple[int, ...]) -> str:
@@ -142,21 +181,9 @@ def has_plateau(sig: tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=None)
 def _signatures(n: int, target: Permutation) -> Mapping[Permutation, tuple[int, ...]]:
-    """Avoider -> signature over Av_n(target), in avoiders order.
-
-    Removing the maximum of x leaves smallest_k(x, n-1), an avoider of
-    length n-1 whose signature is the tail of x's, so each entry is one
-    active-site count prepended to an entry of the (n-1) map.
-    """
-    level = avoiders(n, PatternSet.of(target))  # refuses n past the cap first
-    if n == 0:
-        return MappingProxyType({x: () for x in level})
-    shorter = _signatures(n - 1, target)
+    """Avoider -> signature over Av_n(target), in avoiders order."""
     return MappingProxyType(
-        {
-            x: (len(active_sites(x, target)),) + shorter[smallest_k(x, n - 1)]
-            for x in level
-        }
+        {x: signature(x, target) for x in avoiders(n, PatternSet.of(target))}
     )
 
 
@@ -186,8 +213,8 @@ def _children(y: Permutation, target: Permutation) -> tuple[tuple[int, Permutati
     of Av(target): y with a new maximum at one of its active sites, in site order.
     """
     return tuple(
-        (len(active_sites(child, target)), child)
-        for child in (insert_max_at(y, site) for site in sorted(active_sites(y, target)))
+        (len(_open_sites(child.entries, target)), child)
+        for child in (insert_max_at(y, site) for site in sorted(_open_sites(y.entries, target)))
     )
 
 
@@ -206,7 +233,6 @@ def avoider_with_signature(sig: tuple[int, ...], target: Permutation) -> Permuta
     '-'
     """
     n = len(sig)
-    _require_generation_cap(n)
     y = Permutation(())
     for k in range(n - 1, -1, -1):
         found = [child for count, child in _children(y, target) if count == sig[k]]
@@ -240,9 +266,6 @@ def west_map(x: Permutation, source: Permutation, target: Permutation) -> Permut
     """
     if (source, target) not in DIRECTIONS:
         raise ValueError("matching is defined between 132-avoiders and 123-avoiders only")
-    # the decoder refuses the same lengths, but only after the signature,
-    # which costs far more than the answer at any length past the cap
-    _require_generation_cap(len(x))
     if contains_classical(x, source):
         raise SourceNotAvoider(f"{x} contains {pattern_name(source)}")
     return avoider_with_signature(signature(x, source), target)

@@ -611,13 +611,25 @@ def test_west_map_rejects_bad_direction(capsys):
         )
 
 
-def test_west_map_refuses_past_the_generation_cap(capsys):
-    perm = " ".join(str(v) for v in range(13, 0, -1))
-    for sigma, tau in (("132", "123"), ("123", "132")):
+def test_west_map_answers_long_perms_and_maps_them_back(capsys):
+    def west_map(perm, sigma, tau):
         code, out, err = invoke(
             capsys, "west-map", "--perm", perm, "--sigma", sigma, "--tau", tau
         )
-        assert (code, out, err) == (2, "", "error: n=13 above the generation cap 12\n")
+        assert (code, err) == (0, ""), (perm, sigma, err)
+        image, shared = out.splitlines()
+        return image.replace(" ", ","), shared
+
+    # the decreasing word avoids both patterns; 100..51 then 1..50 avoids 132
+    decreasing = ",".join(str(v) for v in range(13, 0, -1))
+    halves = ",".join(str(v) for v in [*range(100, 50, -1), *range(1, 51)])
+    for perm, directions in (
+        (decreasing, (("132", "123"), ("123", "132"))),
+        (halves, (("132", "123"),)),
+    ):
+        for sigma, tau in directions:
+            image, shared = west_map(perm, sigma, tau)
+            assert west_map(image, tau, sigma) == (perm, shared)
 
 
 def test_west_map_refuses_an_over_long_perm_before_computing_its_signature(
@@ -628,12 +640,12 @@ def test_west_map_refuses_an_over_long_perm_before_computing_its_signature(
 
     monkeypatch.setattr(signatures, "signature", no_signature)
     monkeypatch.setattr(cli, "signature", no_signature)
-    perm = " ".join(str(v) for v in range(100, 0, -1))
+    perm = " ".join(str(v) for v in range(cli.PERM_LENGTH_LIMIT + 1, 0, -1))
     for sigma, tau in (("132", "123"), ("123", "132")):
         code, out, err = invoke(
             capsys, "west-map", "--perm", perm, "--sigma", sigma, "--tau", tau
         )
-        assert (code, out, err) == (2, "", "error: n=100 above the generation cap 12\n")
+        assert (code, out, err) == (2, "", "error: --perm has length 101, above the limit 100\n")
 
 
 def test_dyck_perm_golden(capsys):

@@ -84,6 +84,12 @@ def test_result_validation():
         EnumerationResult(("132", "321"), 3, 5, (P("123"),))
     with pytest.raises(ValueError, match="witness 1 2 has length 2, not n=3"):
         EnumerationResult(("132", "321"), 3, 2, (P("123"), P("12")))
+    for n, count in ((3, -1), (9.0, 0), (3, True)):
+        with pytest.raises(TypeError, match="^n and count must be nonnegative integers$"):
+            EnumerationResult(("132", "321"), n, count, None)
+    # a string would be written out one character per pattern name
+    with pytest.raises(TypeError, match="^machine must be a tuple of pattern names$"):
+        EnumerationResult("132+321", 3, 0, None)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -188,8 +194,14 @@ def test_enumerate_cached_refuses_a_star_machine_it_holds(tmp_path):
 ])
 def test_enumerate_cached_refuses_a_length_it_holds(tmp_path, n, error, message):
     # a checksum-valid entry used to answer n = 13, and n = -1 warned that
-    # the entry was corrupt before the scan refused it
-    cache_store(EnumerationResult(("132", "321"), n, 1, None), tmp_path)
+    # the entry was corrupt before the scan refused it.  No result holds
+    # n = -1, so the entry is an n = 13 one rewritten under n's key
+    stored = cache_store(EnumerationResult(("132", "321"), 13, 1, None), tmp_path)
+    doc = json.loads(stored.read_text())
+    doc["result"]["n"] = n
+    doc["checksum"] = hashlib.sha256(_canonical(doc["result"]).encode()).hexdigest()
+    stored.unlink()
+    (tmp_path / f"{harness._cache_key(('132', '321'), n)}.json").write_text(json.dumps(doc))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(error, match=f"^{message}$"):

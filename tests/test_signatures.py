@@ -1,5 +1,8 @@
+import importlib.util
+import random
 from functools import lru_cache
 from itertools import permutations as iter_perms
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +16,15 @@ from stacksort.perms import (
     PatternSet,
     Permutation,
     avoiders,
+    smallest_k,
 )
 from stacksort.signatures import (
     DuplicateSignature,
     NoMatch,
     SourceNotAvoider,
+    _open_sites,
     _signature_index,
+    _signatures,
     active_sites,
     avoider_with_signature,
     format_signature,
@@ -30,6 +36,8 @@ from stacksort.signatures import (
 P = Permutation.from_digits
 P123 = P("123")
 P132 = P("132")
+
+BENCH_ORACLES = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
 
 
 def all_perms(n):
@@ -43,10 +51,10 @@ def test_golden_signature():
 
 
 def test_signature_refuses_a_perm_past_the_length_limit_before_any_work(monkeypatch):
-    def no_work(x, y):
-        raise AssertionError("active_sites called on a refused input")
+    def no_work(word, y):
+        raise AssertionError("_open_sites called on a refused input")
 
-    monkeypatch.setattr(signatures, "active_sites", no_work)
+    monkeypatch.setattr(signatures, "_open_sites", no_work)
     decreasing = Permutation(tuple(range(PERM_LENGTH_LIMIT + 1, 0, -1)))
     with pytest.raises(LengthTooLarge) as exc:
         signature(decreasing, P132)
@@ -69,11 +77,50 @@ def test_active_sites_match_oracle():
                 assert active_sites(x, y) == oracles.active_sites(x.entries, y.entries)
 
 
-def test_signature_matches_oracle():
-    for n in range(6):
+def test_open_sites_follow_the_definition_on_avoiders():
+    for n in range(9):
+        for y in (P123, P132):
+            for x in avoiders(n, [y]):
+                assert _open_sites(x.entries, y) == active_sites(x, y), (x, y)
+
+
+def test_signature_matches_oracle(monkeypatch):
+    # the oracle asks again for every level's sites; remember them
+    monkeypatch.setattr(oracles, "active_sites", lru_cache(maxsize=None)(oracles.active_sites))
+    # every word, so a level that contains the pattern is read as well
+    for n in range(8):
         for x in all_perms(n):
             for y in (P123, P132):
-                assert signature(x, y) == oracles.signature(x.entries, y.entries)
+                assert signature(x, y) == oracles.signature(x.entries, y.entries), (x, y)
+
+
+def test_class_signatures_match_the_map_built_level_by_level():
+    # removing the maximum of an avoider leaves an avoider one shorter whose
+    # signature is the tail of the longer one's
+    for y in (P123, P132):
+        shorter = {Permutation(()): ()}
+        assert dict(_signatures(0, y)) == shorter
+        for n in range(1, 9):
+            built = {
+                x: (len(active_sites(x, y)),) + shorter[smallest_k(x, n - 1)]
+                for x in avoiders(n, [y])
+            }
+            assert list(_signatures(n, y).items()) == list(built.items()), (n, y)
+            shorter = built
+
+
+def test_west_map_maps_long_random_avoiders_back_to_themselves():
+    spec = importlib.util.spec_from_file_location("bench_oracles", BENCH_ORACLES)
+    bench_oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_oracles)
+    rng = random.Random(0)
+    for n in range(13, PERM_LENGTH_LIMIT + 1):
+        for source, target, draw in (
+            (P132, P123, bench_oracles.random_132_avoider),
+            (P123, P132, bench_oracles.random_123_avoider),
+        ):
+            x = Permutation(draw(rng, n))
+            assert west_map(west_map(x, source, target), target, source) == x, (n, x)
 
 
 def test_direction_validation():
@@ -124,8 +171,8 @@ def test_decoder_refuses_what_no_single_avoider_has():
 def test_signature_index_is_total_and_injective():
     # the lookup table raises on any signature clash while it is built, so
     # its mere construction certifies injectivity; totality is the count.
-    # Its signatures come from the class one shorter, so compare the whole
-    # table with signatures recomputed from scratch.
+    # Its signatures come from the active-site rule, so compare the whole
+    # table with the oracle's brute-force signatures.
     for n in range(8):
         for target in (P123, P132):
             index = _signature_index(n, target)
