@@ -135,6 +135,10 @@ class Permutation(_Frozen):
             raise NotABijection(f"not a permutation of 1..{len(entries)}: {entries!r}")
         self._freeze(entries)
 
+    def _values(self) -> tuple:
+        """The one field, read directly: equality and hashing are on hot paths."""
+        return (self.entries,)
+
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -11,10 +11,10 @@ The matching is decoded on the generating tree of the target class (J. West,
 "Generating trees and the Catalan and Schroder numbers", 1995).  Each avoider
 of length k comes from one avoider of length k-1 by inserting its maximum at
 an active site, and the child's active-site count is the next signature entry
-read from the right.  So ``avoider_with_signature`` walks down from the empty
-permutation and takes, at each level, the one child whose count matches; no
-match raises NoMatch and two raise DuplicateSignature, which makes every
-answer a certificate that it exists and is unique.
+read from the right.  Under 123 and 132 the children of a node with k sites
+have 2, ..., k+1 sites, one each, by West's rule, so ``avoider_with_signature``
+reads each level's site off the next entry, keeps no cache, and raises
+NoMatch wherever a child's count disagrees with the entry.
 
 On the avoiders of 123 and 132 the active sites follow a rule, so
 ``_open_sites`` reads them off the word in linear time.  Under 123 a new
@@ -207,47 +207,41 @@ def _signature_index(n: int, target: Permutation) -> Mapping[tuple[int, ...], Pe
     return MappingProxyType(index)
 
 
-@lru_cache(maxsize=None)
-def _children(y: Permutation, target: Permutation) -> tuple[tuple[int, Permutation], ...]:
-    """(active-site count, child) for each child of y in the generating tree
-    of Av(target): y with a new maximum at one of its active sites, in site order.
-    """
-    return tuple(
-        (len(_open_sites(child.entries, target)), child)
-        for child in (insert_max_at(y, site) for site in sorted(_open_sites(y.entries, target)))
-    )
-
-
 def avoider_with_signature(sig: tuple[int, ...], target: Permutation) -> Permutation:
-    """The target-avoider with signature sig, decoded on the generating tree.
+    """The target-avoider with signature sig, decoded by West's rule.
 
-    A child's signature is its active-site count followed by its parent's
-    signature, so every avoider with signature sig descends through the
-    children whose counts read sig from the right.  The walk takes the one
-    such child per level: NoMatch when there is none, DuplicateSignature when
-    two share the count.
+    A parent with k active sites has k children, with 2, ..., k+1 sites, one
+    each: under 123 the child at site 1 has k+1 and the child at site s >= 2
+    has s; under 132 the child at the j-th site has k+2-j.  The walk inserts
+    each new maximum where the rule puts the next entry, read from the right,
+    and checks the child's count, so an entry outside 2..k+1 or a wrong rule
+    raises NoMatch rather than return a wrong avoider.  Other targets have no
+    rule and raise ValueError.
 
     >>> str(avoider_with_signature((4, 4, 3, 3, 2), PATTERN_123))
     '4 2 1 5 3'
     >>> str(avoider_with_signature((), PATTERN_132))
     '-'
     """
-    n = len(sig)
-    y = Permutation(())
-    for k in range(n - 1, -1, -1):
-        found = [child for count, child in _children(y, target) if count == sig[k]]
-        if not found:
-            raise NoMatch(
-                f"no {pattern_name(target)}-avoider of length {n} has signature "
-                f"{format_signature(sig)}"
-            )
-        if len(found) > 1:
-            raise DuplicateSignature(
-                f"{found[0]} and {found[1]} share the {pattern_name(target)} signature "
-                f"{format_signature(sig[k:])}"
-            )
-        y = found[0]
-    return y
+    if target not in (PATTERN_123, PATTERN_132):
+        raise ValueError("West's rule decodes 123-avoiders and 132-avoiders only")
+    y, sites = Permutation(()), [1]
+    for count in reversed(sig):
+        k = len(sites)
+        # the index, among the parent's sites, where the rule puts this count
+        j = (0 if count == k + 1 else count - 1) if target == PATTERN_123 else k + 1 - count
+        if not 0 <= j < k:
+            break
+        y = insert_max_at(y, sites[j])
+        sites = sorted(_open_sites(y.entries, target))
+        if len(sites) != count:
+            break
+    else:
+        return y
+    raise NoMatch(
+        f"no {pattern_name(target)}-avoider of length {len(sig)} has signature "
+        f"{format_signature(sig)}"
+    )
 
 
 def west_map(x: Permutation, source: Permutation, target: Permutation) -> Permutation:

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations as iter_perms
 from pathlib import Path
@@ -16,6 +17,7 @@ from stacksort.perms import (
     PatternSet,
     Permutation,
     avoiders,
+    insert_max_at,
     smallest_k,
 )
 from stacksort.signatures import (
@@ -123,6 +125,21 @@ def test_west_map_maps_long_random_avoiders_back_to_themselves():
             assert west_map(west_map(x, source, target), target, source) == x, (n, x)
 
 
+def test_west_map_keeps_no_state_between_calls():
+    # two round trips at the length limit leave less than 1 MB allocated
+    decreasing = Permutation(tuple(range(100, 0, -1)))
+    layered = Permutation(tuple(range(100, 50, -1)) + tuple(range(1, 51)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert west_map(west_map(decreasing, P123, P132), P132, P123) == decreasing
+        assert west_map(west_map(layered, P132, P123), P123, P132) == layered
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
+
+
 def test_direction_validation():
     with pytest.raises(ValueError):
         west_map(P("321"), P132, P132)
@@ -154,6 +171,23 @@ def test_every_avoider_has_a_partner(monkeypatch):
                 assert avoider_with_signature(sig, target) == y
 
 
+def test_children_follow_wests_rule_by_the_definition():
+    # the k children of an avoider with k sites have 2, ..., k+1 sites, one
+    # each, counted from the definition; the decoder picks the child whose
+    # count comes first in its signature
+    for target in (P123, P132):
+        for n in range(9):
+            for y in avoiders(n, [target]):
+                sites = oracles.active_sites(y.entries, target.entries)
+                children = {
+                    len(oracles.active_sites(child.entries, target.entries)): child
+                    for child in (insert_max_at(y, site) for site in sites)
+                }
+                assert sorted(children) == list(range(2, len(sites) + 2)), (y, target)
+                for count, child in children.items():
+                    assert avoider_with_signature((count, *signature(y, target)), target) == child
+
+
 def test_decoder_refuses_what_no_single_avoider_has():
     # each message names the pattern as pattern_name does
     with pytest.raises(NoMatch, match="^no 123-avoider of length 2 has signature 5.2$"):
@@ -164,7 +198,8 @@ def test_decoder_refuses_what_no_single_avoider_has():
     shared = "^2 1 and 1 2 share the 1234 signature 3.2$"
     with pytest.raises(DuplicateSignature, match=shared):
         _signature_index(2, P("1234"))
-    with pytest.raises(DuplicateSignature, match=shared):
+    # the decoder reads sites by West's rule, which holds for 123 and 132 only
+    with pytest.raises(ValueError, match="^West's rule decodes 123-avoiders and 132-avoiders only$"):
         avoider_with_signature((3, 2), P("1234"))
 
 
